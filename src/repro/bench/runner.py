@@ -33,6 +33,7 @@ try:
 except ImportError:  # pragma: no cover — non-POSIX platforms
     resource = None
 
+from ..obs import percentile
 from .workloads import Workload, select
 
 #: Report schema identifier; bump when the shape changes.
@@ -50,13 +51,6 @@ def _peak_rss_kb() -> Optional[int]:
     # ru_maxrss is KiB on Linux, bytes on macOS.
     scale = 1024 if sys.platform == "darwin" else 1
     return int(usage.ru_maxrss) // scale
-
-
-def _percentile(samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 def run_workload(
@@ -91,7 +85,7 @@ def run_workload(
         "repeats": repeats,
         "wall_s": {
             "median": statistics.median(wall),
-            "p90": _percentile(wall, 0.9),
+            "p90": percentile(wall, 0.9),
             "min": min(wall),
             "max": max(wall),
             "mean": statistics.fmean(wall),

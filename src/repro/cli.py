@@ -170,6 +170,14 @@ def cmd_experiment(args: argparse.Namespace) -> None:
         raise SystemExit(f"experiments failed checks: {failures}")
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of ``--workers``: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _csv(text: Optional[str], cast=str) -> List:
     """Split a comma-separated flag value, applying ``cast`` per item."""
     if not text:
@@ -786,9 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the final /stats snapshot here on "
                         "shutdown")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=2,
-                   help="supervised compute worker processes "
-                        "(0 = in-process thread; default 2)")
+    p.add_argument("--workers", type=_worker_count, default=2,
+                   help="supervised compute worker processes; every "
+                        "cold query runs in this pool (at least 1; "
+                        "default 2)")
     p.add_argument("--deadline", type=float, default=30.0,
                    help="per-compute wall-clock budget in seconds "
                         "(<=0 disables; default 30)")
@@ -872,8 +881,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="concurrent keep-alive connections (default 4)")
     p.add_argument("--duration", type=float, default=8.0,
                    help="seconds of load (default 8)")
-    p.add_argument("--workers", type=int, default=2,
-                   help="supervised worker processes (default 2)")
+    p.add_argument("--workers", type=_worker_count, default=2,
+                   help="supervised worker processes (at least 1; "
+                        "default 2)")
     p.add_argument("--kills", type=int, default=1,
                    help="workers to SIGKILL during the run (default 1)")
     p.add_argument("--kill-after", type=float, default=1.0,

@@ -20,6 +20,9 @@ This subsystem makes those sweeps cheap and repeatable:
 * :mod:`~repro.harness.campaign` — the orchestrator: expand, consult the
   cache, shard misses across worker processes, emit records in
   deterministic task order.
+* :mod:`~repro.harness.pool` — the supervised worker-process pool
+  (deadlines, crash retry with exact blame, respawn) that campaigns
+  and ``repro serve`` both run on; imported only when needed.
 * :mod:`~repro.harness.progress` — terminal progress reporting.
 
 Quickstart::

@@ -8,18 +8,24 @@ or completion interleaving.  Per-task seeding is deterministic too:
 the simulator seed is part of the task itself, never derived from
 worker identity or scheduling.
 
-Execution is hardened against hostile tasks (docs/harness.md):
+Parallel runs go through the supervised worker pool
+(:mod:`repro.harness.pool`, shared with ``repro serve``), which gives
+every worker its own pipe, so blame is exact.  Execution is hardened
+against hostile tasks (docs/harness.md):
 
-* a per-task wall-clock **timeout** kills overdue workers and records a
-  ``Timeout`` error instead of hanging the campaign;
-* a worker process dying (segfault, ``os._exit``, OOM-kill) is
-  contained: the pool is respawned and only the in-flight tasks are
-  affected, each recorded as ``WorkerCrashed`` — never the whole run;
-* **transient** failures (timeouts, worker death) are retried up to
-  ``retries`` times with exponential backoff; deterministic in-task
-  exceptions are *not* retried — rerunning them cannot help;
-* ``max_failures`` / ``fail_fast`` stop scheduling new tasks once the
-  failure budget is spent; unscheduled tasks get ``Skipped`` records.
+* a per-task wall-clock **timeout** kills the overdue task's worker
+  (only that one; it is respawned) and records a ``Timeout`` error
+  instead of hanging the campaign;
+* a worker process dying (segfault, ``os._exit``, OOM-kill) costs
+  exactly the task it was running, recorded as ``WorkerCrashed`` —
+  never its siblings, never the whole run;
+* **transient** failures (timeouts, worker death) share one retry
+  budget per task: up to ``retries`` reruns with exponential backoff;
+  deterministic in-task exceptions are *not* retried — rerunning them
+  cannot help;
+* ``max_failures`` / ``fail_fast`` stop scheduling new tasks and
+  retries once the failure budget is spent; unscheduled tasks get
+  ``Skipped`` records.
 
 Every record carries the task's content ``key`` plus a ``timing`` block
 (``elapsed_s``, ``cache_hit``) which is the *only* non-deterministic
@@ -29,19 +35,11 @@ comparisons.
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 import time
 import traceback
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .cache import RunCache
 from .progress import ProgressReporter
@@ -123,9 +121,12 @@ def _truncated_traceback() -> str:
 
 
 def _execute_indexed(
-    job: Tuple[int, Task],
+    job: Tuple[int, Task], attempt: int = 0,
 ) -> Tuple[int, Optional[Dict[str, Any]], Optional[Dict[str, str]], float]:
     """Worker entry point: run one task, never raise.
+
+    ``attempt`` is the pool's job-attempt counter; tasks ignore it
+    (:func:`run_tasks` drives their retries).
 
     Returns ``(index, record, error, elapsed_s)`` with exactly one of
     ``record``/``error`` set, so a bad task fails its own record instead
@@ -144,42 +145,6 @@ def _execute_indexed(
         }
         return index, None, error, time.perf_counter() - started
     return index, record, None, time.perf_counter() - started
-
-
-def _init_worker(path_entries: List[str]) -> None:
-    """Mirror the parent's ``sys.path`` (matters under spawn start)."""
-    for entry in path_entries:
-        if entry not in sys.path:
-            sys.path.append(entry)
-
-
-def _pool_context():
-    """Prefer fork (fast, inherits imports); fall back to the default."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Forcibly stop a pool, killing workers that ignore shutdown.
-
-    Used when a task overruns its timeout (the stuck worker would
-    otherwise run forever) and when abandoning a broken pool.  SIGTERM
-    first, escalating to SIGKILL for workers that ignore it.
-    """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in processes:
-        try:
-            proc.terminate()
-        except (OSError, ValueError):
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        proc.join(timeout=5.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(timeout=5.0)
 
 
 def run_tasks(
@@ -267,29 +232,80 @@ def run_tasks(
             progress.task_done(cache_hit=False)
 
     failure_limit = 1 if fail_fast else max_failures
-    workers = min(max(1, jobs), max(1, len(pending)))
+
+    def limit_reached() -> bool:
+        return failure_limit is not None and summary.failures >= failure_limit
+
+    queue = deque(pending)
     # The in-process fast path cannot kill overdue tasks, survive a
     # crashing task, or retry a dead worker — any hardening knob (or
     # more than one worker) forces pool execution.
-    needs_pool = bool(pending) and (
-        jobs > 1 or timeout_s is not None or retries > 0
-    )
-    if not needs_pool:
-        for index in pending:
-            if failure_limit is not None and summary.failures >= failure_limit:
-                skip(index)
-                continue
-            settle(*_execute_indexed((index, tasks[index])))
+    if queue and (jobs > 1 or timeout_s is not None or retries > 0):
+        # Imported here so that ``import repro`` stays asyncio-free.
+        import asyncio
+
+        from .pool import DeadlineExceeded, Pool, WorkerCrashed
+
+        retries, backoff_s = max(0, retries), max(0.0, backoff_s)
+
+        async def run_one(pool: Pool, index: int) -> None:
+            # Timeout and WorkerCrashed draw on one retry budget; blame
+            # is exact, so only this task's own failures count.  A retry
+            # that the failure limit has overtaken is skipped, not run.
+            for attempt in range(retries + 1):
+                if attempt and limit_reached():
+                    skip(index)
+                    return
+                try:
+                    settle(*await pool.submit((index, tasks[index])))
+                    return
+                except DeadlineExceeded:
+                    kind, elapsed = "Timeout", timeout_s
+                    message = (
+                        f"task exceeded the {timeout_s:g}s wall-clock limit"
+                    )
+                except WorkerCrashed:
+                    kind, elapsed = "WorkerCrashed", 0.0
+                    message = (
+                        "the worker process running this task died "
+                        "unexpectedly"
+                    )
+                if attempt < retries:
+                    summary.retried += 1
+                    await asyncio.sleep(backoff_s * 2 ** attempt)
+            settle(
+                index, None,
+                {"type": kind, "message": message, "attempts": retries + 1},
+                elapsed,
+            )
+
+        async def lane(pool: Pool) -> None:
+            # One task at a time: a lane per worker keeps every
+            # worker busy and never queues behind a hung task.
+            while queue and not limit_reached():
+                await run_one(pool, queue.popleft())
+
+        async def drive() -> None:
+            workers = min(max(1, jobs), len(queue))
+            # Each lane has at most one job pending, so admission never
+            # sheds, whatever ``jobs`` is.
+            pool = Pool(
+                _execute_indexed, workers=workers, deadline_s=timeout_s,
+                queue_depth=workers,
+            )
+            await pool.start()
+            try:
+                await asyncio.gather(*(lane(pool) for _ in range(workers)))
+            finally:
+                await pool.close()
+
+        asyncio.run(drive())
     else:
-        _run_pool(
-            tasks, pending, settle, skip,
-            workers=workers,
-            timeout_s=timeout_s,
-            retries=max(0, retries),
-            backoff_s=max(0.0, backoff_s),
-            failure_limit=failure_limit,
-            summary=summary,
-        )
+        while queue and not limit_reached():
+            index = queue.popleft()
+            settle(*_execute_indexed((index, tasks[index])))
+    for index in queue:
+        skip(index)
 
     summary.records = [slot for slot in slots if slot is not None]
     summary.elapsed_s = time.perf_counter() - started
@@ -298,209 +314,6 @@ def run_tasks(
     if store is not None:
         store.extend(summary.records)
     return summary
-
-
-def _run_pool(
-    tasks: Sequence[Task],
-    pending: Sequence[int],
-    settle,
-    skip,
-    *,
-    workers: int,
-    timeout_s: Optional[float],
-    retries: int,
-    backoff_s: float,
-    failure_limit: Optional[int],
-    summary: CampaignSummary,
-) -> None:
-    """The hardened parallel execution loop (see module docstring).
-
-    Keeps at most ``workers`` futures in flight so a timeout or crash
-    only ever disturbs that many tasks; tracks a wall-clock deadline
-    per future; and survives both overdue tasks (pool killed and
-    respawned, overdue task marked ``Timeout``) and broken pools.
-    Transient failures re-enter the queue until their retry budget runs
-    out; tasks merely *displaced* by a pool kill or a sibling's crash
-    are resubmitted without consuming an attempt.
-
-    Crash blame is isolated: when a worker dies the executor cannot
-    say *which* in-flight task killed it, so nobody is charged — every
-    implicated task becomes a *suspect* and re-runs alone.  A suspect
-    that crashes solo is definitely the culprit (``WorkerCrashed``,
-    one attempt consumed); a suspect that completes solo is exonerated
-    and normal parallelism resumes.
-    """
-    queue: Deque[Tuple[int, int]] = deque((i, 0) for i in pending)
-    #: future -> (task index, attempt number, absolute deadline or None)
-    inflight: Dict[Any, Tuple[int, int, Optional[float]]] = {}
-    #: task indices implicated in a pool breakage; they run solo.
-    suspects: set = set()
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(list(sys.path),),
-        )
-
-    def transient_failure(
-        index: int, attempt: int, kind: str, message: str, elapsed: float
-    ) -> None:
-        """Retry a timeout/crash, or settle its error record when spent."""
-        if attempt < retries:
-            summary.retried += 1
-            delay = backoff_s * (2 ** attempt)
-            if delay > 0:
-                time.sleep(delay)
-            queue.append((index, attempt + 1))
-        else:
-            settle(
-                index, None,
-                {
-                    "type": kind,
-                    "message": message,
-                    "attempts": attempt + 1,
-                },
-                elapsed,
-            )
-
-    def drain_unsettled() -> List[Tuple[int, int]]:
-        """Salvage finished in-flight futures; return the rest.
-
-        Called when the pool is about to be killed or is already
-        broken: futures that completed keep their results, the rest
-        come back as ``(index, attempt)`` pairs for the caller to
-        requeue — without consuming a retry attempt.
-        """
-        leftover: List[Tuple[int, int]] = []
-        for future, (index, attempt, _) in list(inflight.items()):
-            outcome = None
-            if future.done():
-                try:
-                    outcome = future.result(timeout=0)
-                except Exception:  # noqa: BLE001 — broken/cancelled
-                    outcome = None
-            if outcome is not None:
-                suspects.discard(index)
-                settle(*outcome)
-            else:
-                leftover.append((index, attempt))
-        inflight.clear()
-        return leftover
-
-    pool = make_pool()
-    try:
-        while queue or inflight:
-            if (
-                failure_limit is not None
-                and summary.failures >= failure_limit
-            ):
-                while queue:
-                    skip(queue.popleft()[0])
-                if not inflight:
-                    break
-            solo_running = any(
-                idx in suspects for (idx, _, _) in inflight.values()
-            )
-            while queue and len(inflight) < workers and not solo_running:
-                if (
-                    failure_limit is not None
-                    and summary.failures >= failure_limit
-                ):
-                    break
-                index, attempt = queue[0]
-                if index in suspects and inflight:
-                    break  # wait for the lanes to clear first
-                queue.popleft()
-                future = pool.submit(
-                    _execute_indexed, (index, tasks[index])
-                )
-                deadline = (
-                    time.monotonic() + timeout_s
-                    if timeout_s is not None else None
-                )
-                inflight[future] = (index, attempt, deadline)
-                if index in suspects:
-                    break  # run the suspect alone
-            if not inflight:
-                continue
-
-            wait_s = None
-            if timeout_s is not None:
-                now = time.monotonic()
-                wait_s = max(
-                    0.0,
-                    min(d for (_, _, d) in inflight.values()) - now,
-                )
-            done, _ = wait(
-                set(inflight), timeout=wait_s,
-                return_when=FIRST_COMPLETED,
-            )
-
-            broken = False
-            casualties: List[Tuple[int, int]] = []
-            for future in done:
-                index, attempt, _ = inflight.pop(future)
-                try:
-                    outcome = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    casualties.append((index, attempt))
-                    continue
-                suspects.discard(index)
-                settle(*outcome)
-
-            if broken:
-                # Every remaining future on a broken pool fails too;
-                # salvage what finished, then apportion blame: a task
-                # that was running *alone* is definitely the culprit,
-                # otherwise all implicated tasks become suspects and
-                # re-run solo (no attempt consumed) on a fresh pool.
-                casualties.extend(drain_unsettled())
-                if len(casualties) == 1:
-                    index, attempt = casualties[0]
-                    suspects.add(index)  # keep any retry solo too
-                    transient_failure(
-                        index, attempt, "WorkerCrashed",
-                        "the worker process running this task died "
-                        "unexpectedly",
-                        0.0,
-                    )
-                else:
-                    for index, attempt in casualties:
-                        suspects.add(index)
-                        queue.appendleft((index, attempt))
-                _terminate_pool(pool)
-                pool = make_pool()
-                continue
-
-            if timeout_s is not None:
-                now = time.monotonic()
-                overdue = [
-                    future
-                    for future, (_, _, deadline) in inflight.items()
-                    if deadline is not None and deadline <= now
-                    and not future.done()
-                ]
-                if overdue:
-                    # There is no portable way to kill one worker, so
-                    # kill the pool; tasks merely displaced by the kill
-                    # are resubmitted without consuming an attempt.
-                    for future in overdue:
-                        index, attempt, _ = inflight.pop(future)
-                        transient_failure(
-                            index, attempt, "Timeout",
-                            f"task exceeded the {timeout_s:g}s "
-                            f"wall-clock limit",
-                            timeout_s,
-                        )
-                    for index, attempt in drain_unsettled():
-                        queue.appendleft((index, attempt))
-                    _terminate_pool(pool)
-                    pool = make_pool()
-    finally:
-        _terminate_pool(pool)
 
 
 def run_campaign(

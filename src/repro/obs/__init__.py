@@ -35,6 +35,7 @@ from .session import (
     Trace,
     capture,
 )
+from .stats import percentile
 from .tracer import (
     ObsRecord,
     SpanRecord,
@@ -65,6 +66,7 @@ __all__ = [
     "lemma1_collisions",
     "max_wave_delay",
     "pebble_hops_per_round",
+    "percentile",
     "render_heatmap",
     "render_summary",
     "span",

@@ -16,8 +16,9 @@ Layering (transport-independent core first):
 * :mod:`~repro.serve.service` — graphs, lookups, protocol runs;
 * :mod:`~repro.serve.batch` — the per-tick source batcher;
 * :mod:`~repro.serve.stats` — the ``/stats`` counters;
-* :mod:`~repro.serve.supervisor` — the supervised worker-process
-  pool (deadlines, crash retry, respawn, chaos injection);
+* :mod:`~repro.serve.supervisor` — cold computes on the supervised
+  worker-process pool of :mod:`repro.harness.pool` (deadlines, crash
+  retry, respawn), plus chaos injection;
 * :mod:`~repro.serve.breaker` — per-family circuit breakers;
 * :mod:`~repro.serve.server` — the HTTP front end + shutdown;
 * :mod:`~repro.serve.loadgen` — the ``repro serve-bench`` harness;

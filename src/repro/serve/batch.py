@@ -13,13 +13,11 @@ Mechanics:
 * the first request for a family opens a *window*; requests landing
   during the window (``tick_s`` seconds) join its source set, with
   duplicate sources sharing one future;
-* when the window closes, the batch runs through the configured
-  **compute runner**.  The default runner executes
-  :meth:`DistanceService.compute_rows` on a dedicated single-thread
-  executor (the PR 6 in-process path); ``repro serve --workers N``
-  installs runners backed by the supervised worker pool
-  (:mod:`repro.serve.supervisor`) instead, so a crashed or slow run
-  costs a worker process, not the server;
+* when the window closes, the batch runs through the ``run_rows``
+  runner — in ``repro serve`` the supervised worker pool
+  (:meth:`repro.serve.supervisor.Supervisor.rows`, wrapped with
+  circuit-breaker bookkeeping), so a crashed or slow run costs a
+  worker process, not the server;
 * oversize windows split: at most ``max_batch`` sources per run, the
   remainder reopens a window immediately.
 
@@ -34,11 +32,9 @@ graceful-shutdown path, so SIGINT never drops an accepted query.
 from __future__ import annotations
 
 import asyncio
-from concurrent.futures import ThreadPoolExecutor
 from typing import Awaitable, Callable, Dict, List, Optional, Set
 
 from .matrix import QueryFamily
-from .service import DistanceService
 
 #: Default coalescing window: long enough for concurrent clients to
 #: pile onto one batch, short enough to be invisible next to a run.
@@ -71,47 +67,19 @@ class SourceBatcher:
 
     def __init__(
         self,
-        service: DistanceService,
+        run_rows: RowsRunner,
+        run_full: FullRunner,
         *,
         tick_s: float = DEFAULT_TICK_S,
         max_batch: int = DEFAULT_MAX_BATCH,
-        run_rows: Optional[RowsRunner] = None,
-        run_full: Optional[FullRunner] = None,
     ) -> None:
-        self.service = service
         self.tick_s = tick_s
         self.max_batch = max(1, int(max_batch))
         self._windows: Dict[QueryFamily, _Window] = {}
         self._inflight: Set[asyncio.Task] = set()
-        self._run_rows: RowsRunner = run_rows or self._thread_rows
-        self._run_full: FullRunner = run_full or self._thread_full
-        self._executor: Optional[ThreadPoolExecutor] = None
+        self._run_rows = run_rows
+        self._run_full = run_full
         self._closed = False
-
-    # -- the default (in-process) compute runner ---------------------------
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        # Simulations are CPU-bound pure Python, so one worker thread
-        # serializes them without stalling the event loop that is busy
-        # answering cache hits.
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve-sim"
-            )
-        return self._executor
-
-    async def _thread_rows(
-        self, family: QueryFamily, sources: List[int]
-    ) -> None:
-        await asyncio.get_running_loop().run_in_executor(
-            self._ensure_executor(),
-            self.service.compute_rows, family, sources,
-        )
-
-    async def _thread_full(self, family: QueryFamily) -> None:
-        await asyncio.get_running_loop().run_in_executor(
-            self._ensure_executor(), self.service.compute_full, family
-        )
 
     # -- request side ------------------------------------------------------
 
@@ -185,8 +153,3 @@ class SourceBatcher:
             drained += len(pending)
             await asyncio.gather(*pending, return_exceptions=True)
         return drained
-
-    def close(self) -> None:
-        """Release the in-process simulation worker thread, if any."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)

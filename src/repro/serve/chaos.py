@@ -40,9 +40,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..obs import percentile
 from .loadgen import http_get
 from .server import ServerThread
-from .stats import percentile
 
 #: Artifact schema identifier; bump when the shape changes.
 SCHEMA = "repro-serve-chaos/1"

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from .stats import percentile
+from ..obs import percentile
 
 #: Artifact schema identifier; bump when the shape changes.
 SCHEMA = "repro-serve-bench/1"

@@ -23,9 +23,10 @@ one graph coalesce into a single Algorithm 2 run.
 
 Robustness contract (docs/serving.md "Failure modes"):
 
-* with ``workers > 0`` cold computes run in the supervised
-  multiprocess pool (:mod:`repro.serve.supervisor`): per-request
-  deadlines, crash retries, automatic respawn;
+* cold computes run in the supervised worker-process pool
+  (:mod:`repro.serve.supervisor`, at least one worker) — the one
+  compute path: per-request deadlines, crash retries, automatic
+  respawn;
 * admission control sheds with ``429 Retry-After`` — both the HTTP
   in-flight cap (``max_inflight``) and pool-queue saturation; cache
   hits (memory or disk tier) keep being served while the pool is full;
@@ -94,7 +95,7 @@ DEFAULT_READ_TIMEOUT_S = 30.0
 DEFAULT_MAX_INFLIGHT = 256
 
 #: Seconds ``/readyz`` stays not-ready after a crash respawn.
-DEFAULT_READY_SETTLE_S = 0.25
+READY_SETTLE_S = 0.25
 
 #: Endpoints exempt from admission control: probes and observability
 #: must answer even when the server is shedding query load.
@@ -237,7 +238,7 @@ class DistanceServer:
         tick_s: float = DEFAULT_TICK_S,
         max_batch: int = DEFAULT_MAX_BATCH,
         stats_path: Optional[str] = None,
-        workers: int = 0,
+        workers: int = DEFAULT_WORKERS,
         deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
         retries: int = DEFAULT_RETRIES,
         queue_depth: int = DEFAULT_QUEUE_DEPTH,
@@ -247,8 +248,6 @@ class DistanceServer:
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
         read_timeout_s: Optional[float] = DEFAULT_READ_TIMEOUT_S,
-        ready_settle_s: float = DEFAULT_READY_SETTLE_S,
-        degrade: bool = True,
         log=None,
     ) -> None:
         self.service = service if service is not None else DistanceService()
@@ -259,23 +258,17 @@ class DistanceServer:
         self.max_inflight = max(0, int(max_inflight))
         self.max_body_bytes = max_body_bytes
         self.read_timeout_s = read_timeout_s
-        self.ready_settle_s = ready_settle_s
-        self.degrade = degrade
-        self.supervisor: Optional[Supervisor] = None
-        run_rows = run_full = None
-        if workers > 0:
-            self.supervisor = Supervisor(
-                self.service,
-                workers=workers,
-                deadline_s=deadline_s,
-                retries=retries,
-                queue_depth=queue_depth,
-                chaos=chaos,
-            )
-            run_rows, run_full = self._pool_rows, self._pool_full
+        self.supervisor = Supervisor(
+            self.service,
+            workers=workers,
+            deadline_s=deadline_s,
+            retries=retries,
+            queue_depth=queue_depth,
+            chaos=chaos,
+        )
         self.batcher = SourceBatcher(
-            self.service, tick_s=tick_s, max_batch=max_batch,
-            run_rows=run_rows, run_full=run_full,
+            self._pool_rows, self._pool_full,
+            tick_s=tick_s, max_batch=max_batch,
         )
         self.breakers = (
             BreakerBoard(
@@ -295,17 +288,15 @@ class DistanceServer:
         self._degraded = 0
         stats = self.service.stats
         stats.set_section("admission", self._admission_snapshot)
-        if self.supervisor is not None:
-            stats.set_section("supervisor", self.supervisor.snapshot)
+        stats.set_section("supervisor", self.supervisor.snapshot)
         if self.breakers is not None:
             stats.set_section("breakers", self.breakers.snapshot)
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the worker pool (if any), bind, and accept."""
-        if self.supervisor is not None:
-            await self.supervisor.start()
+        """Start the worker pool, bind, and accept."""
+        await self.supervisor.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
         )
@@ -329,12 +320,10 @@ class DistanceServer:
             forced = 0
         except asyncio.TimeoutError:
             forced = self._active_requests
-        if self.supervisor is not None:
-            await self.supervisor.drain()
-            await self.supervisor.close()
+        await self.supervisor.drain()
+        await self.supervisor.close()
         for writer in list(self._connections):
             writer.close()
-        self.batcher.close()
         snapshot = self.service.stats.snapshot()
         if self.stats_path:
             with open(self.stats_path, "w", encoding="utf-8") as handle:
@@ -355,28 +344,22 @@ class DistanceServer:
     async def _pool_rows(
         self, family: QueryFamily, sources: List[int]
     ) -> None:
-        key = self._breaker_key(family)
-        try:
-            await self.supervisor.rows(family, sources)
-        except (DeadlineExceeded, ComputeFailed):
-            if self.breakers is not None:
-                self.breakers.record_failure(key)
-            raise
-        else:
-            if self.breakers is not None:
-                self.breakers.record_success(key)
+        await self._recorded(family, self.supervisor.rows(family, sources))
 
     async def _pool_full(self, family: QueryFamily) -> None:
+        await self._recorded(family, self.supervisor.full(family))
+
+    async def _recorded(self, family: QueryFamily, compute) -> None:
+        """Await a pool compute, recording its outcome on the breaker."""
+        if self.breakers is None:
+            return await compute
         key = self._breaker_key(family)
         try:
-            await self.supervisor.full(family)
+            await compute
         except (DeadlineExceeded, ComputeFailed):
-            if self.breakers is not None:
-                self.breakers.record_failure(key)
+            self.breakers.record_failure(key)
             raise
-        else:
-            if self.breakers is not None:
-                self.breakers.record_success(key)
+        self.breakers.record_success(key)
 
     # -- readiness / admission snapshots -----------------------------------
 
@@ -384,15 +367,13 @@ class DistanceServer:
         """Readiness verdict plus its JSON-pure evidence.
 
         Liveness (``/healthz``) answers "is the process up"; readiness
-        answers "can it take full query load": not stopping, and —
-        when supervised — every configured worker alive.  A killed
-        worker flips this false until the respawn lands.
+        answers "can it take full query load": not stopping, and every
+        configured worker alive.  A killed worker flips this false
+        until the respawn lands.
         """
         detail: Dict[str, Any] = {"stopping": self._stopping}
         if self._stopping:
             return False, detail
-        if self.supervisor is None:
-            return True, detail
         alive = self.supervisor.live_workers()
         detail["workers"] = {
             "alive": alive, "configured": self.supervisor.workers,
@@ -402,7 +383,7 @@ class DistanceServer:
         # Settle window: a crash respawn keeps readiness false briefly
         # so the disruption is observable (respawning is near-instant).
         age = self.supervisor.respawn_age_s()
-        if age is not None and age < self.ready_settle_s:
+        if age is not None and age < READY_SETTLE_S:
             detail["settling"] = True
             return False, detail
         return True, detail
@@ -676,8 +657,6 @@ class DistanceServer:
             try:
                 await self.batcher.full(family)
             except DeadlineExceeded:
-                if self.supervisor is None or not self.degrade:
-                    raise
                 return await self._degraded_diameter(family)
             tier = "computed"
         self.service.stats.observe_tier(tier)
@@ -731,7 +710,7 @@ class ServerConfig:
     stats_path: Optional[str] = None
     #: Extra graph specs to warm (full APSP matrix) before serving.
     warm: Tuple[str, ...] = ()
-    #: Supervised worker processes (0 = in-process compute thread).
+    #: Supervised compute worker processes (at least 1).
     workers: int = DEFAULT_WORKERS
     deadline_s: Optional[float] = DEFAULT_DEADLINE_S
     retries: int = DEFAULT_RETRIES
@@ -821,7 +800,7 @@ class ServerThread:
 
     Extra keyword arguments (``workers``, ``deadline_s``, ``chaos``,
     ``max_inflight``, …) pass through to :class:`DistanceServer`, so
-    tests can stand up a fully supervised instance.
+    tests can shape the worker pool and the admission limits.
     """
 
     def __init__(

@@ -2,12 +2,19 @@
 
 :class:`DistanceService` owns the loaded graphs, the two-tier
 :class:`~repro.serve.cache.MatrixCache`, the serve counters, and the
-protocol runs that fill cache misses.  It is deliberately synchronous:
-the HTTP layer (:mod:`repro.serve.server`) calls the fast lookup paths
-from the event loop and routes cold misses through the asyncio
-batcher (:mod:`repro.serve.batch`), which in turn calls
-:meth:`compute_rows` on a worker thread.  Tests and the docs example
-can drive the service directly without any server.
+merging of protocol results into that cache.  It is deliberately
+synchronous: the HTTP layer (:mod:`repro.serve.server`) calls the fast
+lookup paths from the event loop and routes cold misses through the
+asyncio batcher (:mod:`repro.serve.batch`) into the supervised worker
+pool (:mod:`repro.serve.supervisor`).  Tests and the docs example can
+drive the service directly without any server: :meth:`compute_rows`
+and :meth:`compute_full` run in-process.
+
+There is one compute path.  A cold miss becomes a pickle-pure *job*
+(:func:`rows_job`, :func:`full_job`); :func:`run_job` runs it against a
+graph — in-process here, in a worker process under the pool — and
+:meth:`DistanceService.merge` folds the result into the stats and the
+cache, always in the calling (server) process.
 
 Two query backends exist:
 
@@ -98,6 +105,73 @@ def sequential_rounds_estimate(batch_size: int, batch_rounds: int) -> int:
     return batch_size * singleton
 
 
+def rows_job(family: QueryFamily, sources: List[int]) -> Dict[str, Any]:
+    """The job computing ``sources``' rows in one batched run.
+
+    For ``apsp`` that is a single Algorithm 2 run whose source set is
+    the whole batch; backends without a row engine compute the full
+    matrix instead (which answers the batch a fortiori).
+    """
+    if BACKENDS[family.protocol].row_protocol is None:
+        return full_job(family)
+    return {
+        "kind": "rows",
+        "family": family.payload(),
+        "sources": sorted(set(sources)),
+    }
+
+
+def full_job(family: QueryFamily) -> Dict[str, Any]:
+    """The job computing the complete matrix."""
+    return {"kind": "full", "family": family.payload()}
+
+
+def run_job(job: Mapping[str, Any], graph: Graph) -> Dict[str, Any]:
+    """Run one compute job on ``graph``; returns a pickle-pure result.
+
+    ``kind`` ``rows`` and ``full`` return ``{"rows", "rounds"}``,
+    ``approx-diameter`` (the 2-vs-4 classification) returns
+    ``{"diameter", "rounds"}``.  Protocols run through the module
+    attribute ``protocols.run``, looked up per call, so a wrapper
+    installed on it before the pool forks also sees worker runs.
+    """
+    family = job["family"]
+    kind = job["kind"]
+    backend = BACKENDS[family["protocol"]]
+    engine = family.get("backend", "object")
+    attrs: Dict[str, Any] = {}
+    if kind == "rows":
+        protocol, params = backend.row_protocol, {"sources": job["sources"]}
+        attrs["batch_size"] = len(job["sources"])
+    elif kind == "full":
+        protocol, params = backend.full_protocol, dict(family["params"])
+    elif kind == "approx-diameter":
+        protocol, params, engine = "two-vs-four", {}, "object"
+    else:
+        raise ValueError(f"unknown job kind {kind!r}")
+    tracer = obs.active()
+    span_id = None
+    if tracer is not None:
+        span_id = tracer.span_begin(
+            "serve_run", round_no=0, protocol=protocol,
+            graph=family["graph"], **attrs,
+        )
+    outcome = protocols.run(
+        protocol, graph, params,
+        seed=family["seed"], policy=family["policy"], backend=engine,
+    )
+    rounds = outcome.metrics.rounds
+    if tracer is not None:
+        tracer.span_end(span_id, round_no=rounds, rounds=rounds)
+    if kind == "rows":
+        rows = rows_from_ssp_summary(outcome.summary, job["sources"])
+    elif kind == "full":
+        rows = backend.rows_of(outcome.summary)
+    else:
+        return {"diameter": outcome.summary.diameter, "rounds": rounds}
+    return {"rows": rows, "rounds": rounds}
+
+
 class DistanceService:
     """Graphs loaded once, matrices memoized, queries at memory speed."""
 
@@ -131,8 +205,9 @@ class DistanceService:
             max_bytes=max_matrix_bytes, run_cache=run_cache
         )
         self._graphs: Dict[str, Graph] = {}
-        #: Guards cache/graph structures shared between the event loop
-        #: and the simulation worker thread.  Never held during a run.
+        #: Guards cache/graph structures against callers on other
+        #: threads (e.g. a test beside a ServerThread).  Never held
+        #: during a run.
         self._lock = threading.RLock()
 
     # -- graphs ------------------------------------------------------------
@@ -230,74 +305,45 @@ class DistanceService:
         with self._lock:
             return self.cache.matrix(family, graph.n)
 
-    # -- computation (runs a simulation; call off the event loop) ----------
+    # -- computation ---------------------------------------------------------
 
-    def _spanned_run(
-        self, protocol: str, graph: Graph, params: Dict[str, Any],
-        family: QueryFamily, **attrs: Any,
-    ):
-        tracer = obs.active()
-        span_id = None
-        if tracer is not None:
-            span_id = tracer.span_begin(
-                "serve_run", round_no=0, protocol=protocol,
-                graph=family.graph_spec, **attrs,
-            )
-        outcome = protocols.run(
-            protocol, graph, params,
-            seed=family.seed, policy=family.policy,
-            backend=family.backend,
+    def merge(
+        self,
+        family: QueryFamily,
+        job: Mapping[str, Any],
+        result: Mapping[str, Any],
+    ) -> DistanceMatrix:
+        """Fold a ``rows``/``full`` job's result into stats and cache."""
+        graph = self.load_graph(family.graph_spec)
+        rounds = result["rounds"]
+        self.stats.observe_protocol_run()
+        if job["kind"] == "full":
+            with self._lock:
+                return self.cache.store_full(
+                    family, graph.n, result["rows"], rounds=rounds
+                )
+        size = len(job["sources"])
+        self.stats.observe_batch(
+            size, rounds, sequential_rounds_estimate(size, rounds)
         )
-        if tracer is not None:
-            tracer.span_end(
-                span_id, round_no=outcome.metrics.rounds,
-                rounds=outcome.metrics.rounds,
+        with self._lock:
+            return self.cache.store_rows(
+                family, graph.n, result["rows"], rounds=rounds
             )
-        return outcome
 
     def compute_rows(
         self, family: QueryFamily, sources: List[int]
     ) -> DistanceMatrix:
-        """Run one batched row computation and merge it into the cache.
-
-        For ``apsp`` this is a single Algorithm 2 run whose source set
-        is the whole batch; backends without a row engine fall back to
-        the full matrix (which answers the batch a fortiori).
-        """
-        backend = BACKENDS[family.protocol]
-        if backend.row_protocol is None:
-            return self.compute_full(family)
+        """Run one batched row computation in-process and merge it."""
+        job = rows_job(family, sources)
         graph = self.load_graph(family.graph_spec)
-        sources = sorted(set(sources))
-        outcome = self._spanned_run(
-            backend.row_protocol, graph, {"sources": sources},
-            family, batch_size=len(sources),
-        )
-        rows = rows_from_ssp_summary(outcome.summary, sources)
-        rounds = outcome.metrics.rounds
-        self.stats.observe_batch(
-            len(sources), rounds,
-            sequential_rounds_estimate(len(sources), rounds),
-        )
-        self.stats.observe_protocol_run()
-        with self._lock:
-            return self.cache.store_rows(
-                family, graph.n, rows, rounds=rounds
-            )
+        return self.merge(family, job, run_job(job, graph))
 
     def compute_full(self, family: QueryFamily) -> DistanceMatrix:
-        """Run the full-matrix protocol and memoize the result."""
-        backend = BACKENDS[family.protocol]
+        """Run the full-matrix protocol in-process and memoize it."""
+        job = full_job(family)
         graph = self.load_graph(family.graph_spec)
-        outcome = self._spanned_run(
-            backend.full_protocol, graph, dict(family.params), family,
-        )
-        rows = backend.rows_of(outcome.summary)
-        self.stats.observe_protocol_run()
-        with self._lock:
-            return self.cache.store_full(
-                family, graph.n, rows, rounds=outcome.metrics.rounds
-            )
+        return self.merge(family, job, run_job(job, graph))
 
     # -- ensure + answer (the synchronous query path) ----------------------
 

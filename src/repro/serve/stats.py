@@ -7,13 +7,15 @@ percentiles, cache hits broken down by tier (``memory`` / ``disk`` /
 coalesced Algorithm 2 run carried, the rounds it actually spent, and
 the rounds an equivalent one-run-per-query sequence would have spent.
 
-The service is touched from the event loop *and* from the simulation
-executor thread, so every mutation takes a :class:`threading.Lock`;
+The service is touched from the event loop *and* read from other
+threads (a test or benchmark beside a ``ServerThread``), so every
+mutation takes a :class:`threading.Lock`;
 :meth:`snapshot` returns a JSON-pure dict computed under the same lock.
 
-Latency percentiles are nearest-rank over a bounded sample window
-(the most recent :data:`LATENCY_WINDOW` observations per endpoint) so a
-long-running server's memory stays flat.
+Latency percentiles are nearest-rank (:func:`repro.obs.percentile`)
+over a bounded sample window (the most recent :data:`LATENCY_WINDOW`
+observations per endpoint) so a long-running server's memory stays
+flat.
 """
 
 from __future__ import annotations
@@ -23,21 +25,13 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional
 
+from ..obs import percentile
+
 #: Per-endpoint latency samples retained for percentile computation.
 LATENCY_WINDOW = 4096
 
 #: Cache tiers a query can be answered from, cheapest first.
 TIERS = ("memory", "disk", "computed")
-
-
-def percentile(samples, fraction: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ordered = sorted(samples)
-    if not ordered:
-        return 0.0
-    rank = min(len(ordered) - 1,
-               max(0, round(fraction * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 class _EndpointStats:

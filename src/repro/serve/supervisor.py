@@ -1,34 +1,22 @@
-"""The supervised multiprocess compute pool behind ``repro serve``.
+"""The supervised compute pool behind ``repro serve``.
 
-The PR 2 campaign harness learned to survive hostile tasks — timeouts,
-retries with backoff, worker-crash blame — but only offline.  This
-module brings the same discipline to the serving path: cold
-``compute_rows`` / ``compute_full`` work comes off the asyncio event
-loop and runs in N supervised worker *processes*, so a crashed or
-wedged Algorithm 2 run costs one worker (respawned automatically), not
-the server.
+Cold ``rows`` / ``full`` / ``approx-diameter`` work comes off the
+asyncio event loop and runs as :func:`~repro.serve.service.run_job` in
+worker *processes* of the generic :class:`~repro.harness.pool.Pool`
+(the campaign harness runs on the same pool), so a crashed or wedged
+Algorithm 2 run costs one worker, respawned automatically, not the
+server.  The pool's per-job contract maps onto HTTP
+(docs/serving.md): :class:`DeadlineExceeded` answers ``503`` (exact
+``/diameter`` degrades to the 2-vs-4 approximation instead), a job
+whose crash retries ran out or whose run raised is
+:class:`ComputeFailed` (``500``), and :class:`PoolSaturated` sheds
+with ``429 Retry-After``.
 
-Contract per job:
-
-* a **deadline** bounds wall-clock from submission; an overdue worker
-  is SIGKILLed and the waiter gets :class:`DeadlineExceeded` (the HTTP
-  layer degrades ``/diameter`` to the 2-vs-4 approximation, everything
-  else answers ``503``);
-* a **crash** (worker SIGKILLed, segfaulted, ``os._exit``) requeues the
-  job with exponential backoff up to ``retries`` times — the batch a
-  killed worker was carrying is re-run, never dropped — then fails it
-  with :class:`ComputeFailed`;
-* a **deterministic in-task exception** is *not* retried (rerunning
-  cannot help) and fails immediately with :class:`ComputeFailed`;
-* **admission** is bounded: more than ``queue_depth`` jobs pending
-  raises :class:`PoolSaturated` at submit time (the HTTP layer sheds
-  with ``429 Retry-After``) so overload never buffers unboundedly.
-
-Workers are plain ``multiprocessing`` children on a duplex pipe; each
-keeps a per-process graph cache so repeated families avoid re-parsing.
-A heartbeat task respawns workers that die while *idle* (an external
-SIGKILL between jobs), which is what flips ``/readyz`` back to ready
-without waiting for traffic.
+This module adds only what is serve-specific: the worker-side graph
+cache, chaos stamping, the ``serve_pool_job`` span, and the typed
+:meth:`Supervisor.rows` / :meth:`Supervisor.full` /
+:meth:`Supervisor.approx_diameter` calls whose results are merged into
+the service's cache here, in the server process.
 
 Chaos injection — the serving twin of the harness's hostile ``chaos``
 protocol — is built in for tests and the ``repro serve-chaos``
@@ -39,18 +27,22 @@ so the failure modes are exactly the campaign harness's).
 
 from __future__ import annotations
 
-import asyncio
 import math
-import multiprocessing
-import os
-import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Mapping, Optional
 
 from .. import obs, protocols
 from ..graphs.specs import parse_graph
-from .matrix import QueryFamily, rows_from_ssp_summary
-from .service import BACKENDS, DistanceService, sequential_rounds_estimate
+from ..harness.pool import (  # the pool's errors are serve's too
+    DEFAULT_QUEUE_DEPTH,
+    HEARTBEAT_S,
+    ComputeFailed,
+    DeadlineExceeded,
+    Pool,
+    PoolError,
+    PoolSaturated,
+)
+from .matrix import QueryFamily
+from .service import DistanceService, full_job, rows_job, run_job
 
 #: Default worker-process count (``repro serve --workers``).
 DEFAULT_WORKERS = 2
@@ -65,162 +57,34 @@ DEFAULT_RETRIES = 1
 #: Base backoff before a crash-requeued job re-enters the queue.
 DEFAULT_BACKOFF_S = 0.05
 
-#: Max jobs pending (queued + running) before submission sheds.
-DEFAULT_QUEUE_DEPTH = 128
-
-#: How often the heartbeat respawns workers that died while idle.
-HEARTBEAT_S = 0.25
+#: Pool-level failures, under serve's name.
+SupervisorError = PoolError
 
 
-class SupervisorError(RuntimeError):
-    """Base class of pool-level failures."""
+class _ServeJob:
+    """The pool's job function: chaos inject (if any), then ``run_job``.
 
-
-class PoolSaturated(SupervisorError):
-    """Admission control: the job queue is full (HTTP 429)."""
-
-    def __init__(self, message: str, retry_after_s: float = 1.0) -> None:
-        super().__init__(message)
-        self.retry_after_s = retry_after_s
-
-
-class DeadlineExceeded(SupervisorError):
-    """The job missed its wall-clock deadline (degrade or HTTP 503)."""
-
-
-class ComputeFailed(SupervisorError):
-    """The job failed in the worker (after crash retries, if any)."""
-
-
-# ---------------------------------------------------------------------------
-# Worker side (runs in the child process).
-# ---------------------------------------------------------------------------
-
-
-def _apply_inject(inject: Mapping[str, Any], graph) -> None:
-    """Run the injected hostility through the ``chaos`` protocol.
-
-    ``hang`` sleeps, ``crash`` kills the worker process outright,
-    ``error`` raises — the exact failure modes the campaign harness's
-    hostile protocol exercises, now inside a serve worker.
+    Every worker process holds its own copy, so each keeps a private
+    graph cache and repeated families skip parsing.
     """
-    protocols.run(
-        "chaos", graph,
-        {"mode": inject.get("mode", "error"),
-         "seconds": float(inject.get("seconds", 3600.0))},
-    )
 
+    def __init__(self) -> None:
+        self.graphs: Dict[str, Any] = {}
 
-def _execute_job(
-    job: Mapping[str, Any], graphs: Dict[str, Any]
-) -> Dict[str, Any]:
-    """Run one compute job; returns a pickle-pure result dict."""
-    family = job["family"]
-    spec = family["graph"]
-    graph = graphs.get(spec)
-    if graph is None:
-        graph = parse_graph(spec)
-        graphs[spec] = graph
-    inject = job.get("inject")
-    if inject:
-        _apply_inject(inject, graph)
-    kind = job["kind"]
-    seed, policy = family["seed"], family["policy"]
-    engine = family.get("backend", "object")
-    if kind == "rows":
-        backend = BACKENDS[family["protocol"]]
-        sources = list(job["sources"])
-        outcome = protocols.run(
-            backend.row_protocol, graph, {"sources": sources},
-            seed=seed, policy=policy, backend=engine,
-        )
-        return {
-            "rows": rows_from_ssp_summary(outcome.summary, sources),
-            "rounds": outcome.metrics.rounds,
-        }
-    if kind == "full":
-        backend = BACKENDS[family["protocol"]]
-        outcome = protocols.run(
-            backend.full_protocol, graph, dict(family["params"]),
-            seed=seed, policy=policy, backend=engine,
-        )
-        return {
-            "rows": backend.rows_of(outcome.summary),
-            "rounds": outcome.metrics.rounds,
-        }
-    if kind == "approx-diameter":
-        outcome = protocols.run(
-            "two-vs-four", graph, {}, seed=seed, policy=policy,
-        )
-        return {
-            "diameter": outcome.summary.diameter,
-            "rounds": outcome.metrics.rounds,
-        }
-    raise ValueError(f"unknown job kind {kind!r}")
-
-
-def _worker_main(conn) -> None:
-    """The worker-process loop: recv job → execute → send reply."""
-    graphs: Dict[str, Any] = {}
-    while True:
-        try:
-            job = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if job is None:
-            return
-        try:
-            reply = {"ok": True, "result": _execute_job(job, graphs)}
-        except BaseException as exc:  # noqa: BLE001 — reported per job
-            reply = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        try:
-            conn.send(reply)
-        except (BrokenPipeError, OSError):
-            return
-
-
-# ---------------------------------------------------------------------------
-# Supervisor side (runs on the event loop).
-# ---------------------------------------------------------------------------
-
-
-class _WorkerHandle:
-    """One live worker process plus its parent pipe end."""
-
-    __slots__ = ("process", "conn", "wid", "busy", "jobs_done")
-
-    def __init__(self, process, conn, wid: int) -> None:
-        self.process = process
-        self.conn = conn
-        self.wid = wid
-        self.busy = False
-        self.jobs_done = 0
-
-
-class _Job:
-    """One queued compute job and its waiter."""
-
-    __slots__ = ("payload", "future", "attempt", "deadline")
-
-    def __init__(self, payload, future, deadline: Optional[float]) -> None:
-        self.payload = payload
-        self.future = future
-        self.attempt = 0
-        self.deadline = deadline
-
-
-_CLOSE = object()
-
-
-def _mp_context():
-    """Prefer fork (fast, inherits imports); fall back to the default."""
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
+    def __call__(
+        self, job: Mapping[str, Any], attempt: int
+    ) -> Dict[str, Any]:
+        spec = job["family"]["graph"]
+        graph = self.graphs.get(spec)
+        if graph is None:
+            graph = self.graphs[spec] = parse_graph(spec)
+        inject = job.get("inject")
+        if inject and attempt < inject.get("attempts", math.inf):
+            protocols.run(
+                "chaos", graph,
+                {"mode": inject["mode"], "seconds": inject["seconds"]},
+            )
+        return run_job(job, graph)
 
 
 class ChaosPlan:
@@ -255,8 +119,8 @@ class ChaosPlan:
         payload["inject"] = inject
 
 
-class Supervisor:
-    """Supervised worker pool: deadlines, crash retry, respawn.
+class Supervisor(Pool):
+    """The serve compute pool: typed compute calls over :class:`Pool`.
 
     Construct, ``await start()``, then call :meth:`rows`,
     :meth:`full` or :meth:`approx_diameter`; ``await drain()`` then
@@ -276,143 +140,17 @@ class Supervisor:
         chaos: Optional[Mapping[str, Any]] = None,
         heartbeat_s: float = HEARTBEAT_S,
     ) -> None:
+        super().__init__(
+            _ServeJob(),
+            workers=workers,
+            deadline_s=deadline_s,
+            retries=retries,
+            backoff_s=backoff_s,
+            queue_depth=queue_depth,
+            heartbeat_s=heartbeat_s,
+        )
         self.service = service
-        self.workers = max(1, int(workers))
-        self.deadline_s = deadline_s
-        self.retries = max(0, int(retries))
-        self.backoff_s = max(0.0, backoff_s)
-        self.queue_depth = max(1, int(queue_depth))
         self.chaos = ChaosPlan(chaos) if chaos else None
-        self.heartbeat_s = heartbeat_s
-        self._mp = _mp_context()
-        self._queue: "asyncio.Queue" = asyncio.Queue()
-        self._handles: Dict[int, _WorkerHandle] = {}
-        self._loops: List[asyncio.Task] = []
-        self._heartbeat_task: Optional[asyncio.Task] = None
-        self._recv_pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve-pool"
-        )
-        self._pending = 0
-        self._started = False
-        self._closed = False
-        self.last_respawn_at: Optional[float] = None
-        # Counters (single-threaded on the loop; read by /stats).
-        self.spawned = 0
-        self.respawns = 0
-        self.crashes = 0
-        self.deadline_misses = 0
-        self.requeues = 0
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.shed = 0
-
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> None:
-        """Spawn the workers and their dispatch loops."""
-        if self._started:
-            return
-        self._started = True
-        for wid in range(self.workers):
-            self._handles[wid] = self._spawn(wid)
-        for wid in range(self.workers):
-            self._loops.append(
-                asyncio.ensure_future(self._worker_loop(wid))
-            )
-        self._heartbeat_task = asyncio.ensure_future(self._heartbeat())
-
-    async def drain(self) -> None:
-        """Wait until every accepted job has settled."""
-        while self._pending:
-            await asyncio.sleep(0.01)
-
-    async def close(self) -> None:
-        """Stop the loops and terminate every worker."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-        for _ in self._loops:
-            await self._queue.put(_CLOSE)
-        if self._loops:
-            await asyncio.gather(*self._loops, return_exceptions=True)
-        for handle in self._handles.values():
-            self._terminate(handle)
-        self._handles.clear()
-        self._recv_pool.shutdown(wait=False)
-
-    # -- worker management -------------------------------------------------
-
-    def _spawn(self, wid: int) -> _WorkerHandle:
-        parent, child = self._mp.Pipe()
-        process = self._mp.Process(
-            target=_worker_main, args=(child,),
-            name=f"repro-serve-worker-{wid}", daemon=True,
-        )
-        process.start()
-        child.close()
-        self.spawned += 1
-        return _WorkerHandle(process, parent, wid)
-
-    def _terminate(self, handle: _WorkerHandle) -> None:
-        try:
-            if handle.process.is_alive():
-                handle.process.kill()
-        except (OSError, ValueError):
-            pass
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-
-    def _respawn(self, wid: int) -> _WorkerHandle:
-        self._terminate(self._handles[wid])
-        handle = self._spawn(wid)
-        self._handles[wid] = handle
-        self.respawns += 1
-        self.last_respawn_at = time.monotonic()
-        return handle
-
-    def respawn_age_s(self) -> Optional[float]:
-        """Seconds since the last crash respawn (``None`` if never).
-
-        Readiness uses this to report a *settle window* after a
-        respawn: a freshly forked worker hasn't proven itself yet, and
-        the brief not-ready blip is how orchestrators (and the chaos
-        harness) observe that the pool was disrupted — the respawn
-        itself is near-instant.
-        """
-        if self.last_respawn_at is None:
-            return None
-        return time.monotonic() - self.last_respawn_at
-
-    async def _heartbeat(self) -> None:
-        """Respawn workers that died while idle (external SIGKILL)."""
-        while not self._closed:
-            await asyncio.sleep(self.heartbeat_s)
-            for wid, handle in list(self._handles.items()):
-                if not handle.busy and not handle.process.is_alive():
-                    self.crashes += 1
-                    self._respawn(wid)
-
-    def live_workers(self) -> int:
-        """Workers whose processes are currently alive."""
-        return sum(
-            1 for handle in self._handles.values()
-            if handle.process.is_alive()
-        )
-
-    def worker_pids(self) -> List[int]:
-        """PIDs of live workers (the chaos harness's kill list)."""
-        return [
-            handle.process.pid
-            for handle in self._handles.values()
-            if handle.process.is_alive() and handle.process.pid
-        ]
-
-    # -- submission --------------------------------------------------------
 
     async def submit(
         self,
@@ -427,190 +165,35 @@ class Supervisor:
         :class:`ComputeFailed` (worker crash budget spent, or a
         deterministic in-job exception).
         """
-        if not self._started or self._closed:
-            raise SupervisorError("supervisor is not running")
-        if self._pending >= self.queue_depth:
-            self.shed += 1
-            raise PoolSaturated(
-                f"compute pool is saturated "
-                f"({self._pending} jobs pending, cap {self.queue_depth})",
-                retry_after_s=1.0,
-            )
+        # Admit first, so a shed job never spends the chaos budget.
+        self._admit()
         if self.chaos is not None:
             payload = dict(payload)
             self.chaos.stamp(payload)
-        budget = self.deadline_s if deadline_s is None else deadline_s
-        deadline = (
-            time.monotonic() + budget if budget is not None else None
-        )
-        future = asyncio.get_running_loop().create_future()
-        self._pending += 1
-        self.submitted += 1
         tracer = obs.active()
-        span_id = None
-        if tracer is not None:
-            span_id = tracer.span_begin(
-                "serve_pool_job", round_no=0, kind=payload["kind"],
-                graph=payload["family"]["graph"],
-            )
-        await self._queue.put(_Job(payload, future, deadline))
+        if tracer is None:
+            return await self._run(payload, deadline_s)
+        span_id = tracer.span_begin(
+            "serve_pool_job", round_no=0, kind=payload["kind"],
+            graph=payload["family"]["graph"],
+        )
+        rounds = 0
         try:
-            result = await asyncio.shield(future)
+            result = await self._run(payload, deadline_s)
+            rounds = result.get("rounds", 0)
+            return result
         finally:
-            if tracer is not None:
-                tracer.span_end(
-                    span_id,
-                    round_no=0,
-                    rounds=(
-                        future.result().get("rounds", 0)
-                        if future.done() and not future.cancelled()
-                        and future.exception() is None else 0
-                    ),
-                )
-        return result
-
-    # -- the dispatch loops ------------------------------------------------
-
-    def _finish(
-        self,
-        job: _Job,
-        *,
-        result: Optional[Dict[str, Any]] = None,
-        error: Optional[BaseException] = None,
-    ) -> None:
-        self._pending -= 1
-        if error is not None:
-            self.failed += 1
-            if not job.future.done():
-                job.future.set_exception(error)
-        else:
-            self.completed += 1
-            if not job.future.done():
-                job.future.set_result(result)
-
-    async def _retry_or_fail(self, job: _Job, reason: str) -> None:
-        """Crash path: requeue with backoff, or fail when budget spent."""
-        if job.attempt < self.retries:
-            job.attempt += 1
-            self.requeues += 1
-            delay = self.backoff_s * (2 ** (job.attempt - 1))
-            if delay:
-                await asyncio.sleep(delay)
-            await self._queue.put(job)
-        else:
-            self._finish(job, error=ComputeFailed(
-                f"{reason} ({job.attempt + 1} attempt(s))"
-            ))
-
-    async def _worker_loop(self, wid: int) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            job = await self._queue.get()
-            if job is _CLOSE:
-                return
-            if job.deadline is not None and time.monotonic() >= job.deadline:
-                self.deadline_misses += 1
-                self._finish(job, error=DeadlineExceeded(
-                    "job spent its deadline waiting in the queue"
-                ))
-                continue
-            handle = self._handles[wid]
-            if not handle.process.is_alive():
-                handle = self._respawn(wid)
-            handle.busy = True
-            payload = dict(job.payload)
-            payload["attempt"] = job.attempt
-            inject = payload.get("inject")
-            if (
-                inject is not None
-                and inject.get("attempts") is not None
-                and job.attempt >= int(inject["attempts"])
-            ):
-                del payload["inject"]
-            try:
-                handle.conn.send(payload)
-            except (BrokenPipeError, OSError, ValueError):
-                self.crashes += 1
-                self._respawn(wid)
-                handle.busy = False
-                await self._retry_or_fail(
-                    job, "worker pipe broke before dispatch"
-                )
-                continue
-            timeout = None
-            if job.deadline is not None:
-                timeout = max(0.0, job.deadline - time.monotonic())
-            recv = loop.run_in_executor(self._recv_pool, handle.conn.recv)
-            try:
-                reply = await asyncio.wait_for(asyncio.shield(recv), timeout)
-            except asyncio.TimeoutError:
-                self.deadline_misses += 1
-                # No portable way to interrupt one compute: kill the
-                # worker, let the stranded recv settle via EOF.
-                recv.add_done_callback(_swallow)
-                self._respawn(wid)
-                self._finish(job, error=DeadlineExceeded(
-                    f"job exceeded its "
-                    f"{(self.deadline_s or 0):g}s deadline"
-                ))
-                self._handles[wid].busy = False
-                continue
-            except (EOFError, OSError):
-                self.crashes += 1
-                self._respawn(wid)
-                self._handles[wid].busy = False
-                await self._retry_or_fail(
-                    job, "the worker process running this job died"
-                )
-                continue
-            handle.busy = False
-            handle.jobs_done += 1
-            if reply["ok"]:
-                self._finish(job, result=reply["result"])
-            else:
-                # Deterministic in-job exception: retrying cannot help.
-                self._finish(job, error=ComputeFailed(
-                    f"{reply['error']}: {reply['message']}"
-                ))
-
-    # -- typed compute API (merges results into the service) ---------------
+            tracer.span_end(span_id, round_no=0, rounds=rounds)
 
     async def rows(self, family: QueryFamily, sources: List[int]) -> None:
         """Batched row computation in the pool; merges into the cache."""
-        backend = BACKENDS[family.protocol]
-        if backend.row_protocol is None:
-            await self.full(family)
-            return
-        sources = sorted(set(sources))
-        result = await self.submit({
-            "kind": "rows",
-            "family": family.payload(),
-            "sources": sources,
-        })
-        graph = self.service.load_graph(family.graph_spec)
-        rounds = result["rounds"]
-        self.service.stats.observe_batch(
-            len(sources), rounds,
-            sequential_rounds_estimate(len(sources), rounds),
-        )
-        self.service.stats.observe_protocol_run()
-        with self.service._lock:
-            self.service.cache.store_rows(
-                family, graph.n, result["rows"], rounds=rounds
-            )
+        job = rows_job(family, sources)
+        self.service.merge(family, job, await self.submit(job))
 
     async def full(self, family: QueryFamily) -> None:
         """Full-matrix computation in the pool; memoizes the result."""
-        result = await self.submit({
-            "kind": "full",
-            "family": family.payload(),
-        })
-        graph = self.service.load_graph(family.graph_spec)
-        self.service.stats.observe_protocol_run()
-        with self.service._lock:
-            self.service.cache.store_full(
-                family, graph.n, result["rows"], rounds=result["rounds"]
-            )
+        job = full_job(family)
+        self.service.merge(family, job, await self.submit(job))
 
     async def approx_diameter(self, family: QueryFamily) -> int:
         """The 2-vs-4 classification (Algorithm 3) — the degraded path.
@@ -626,35 +209,6 @@ class Supervisor:
         })
         self.service.stats.observe_protocol_run()
         return result["diameter"]
-
-    # -- observability -----------------------------------------------------
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-pure counters for the ``/stats`` ``supervisor`` section."""
-        return {
-            "workers": self.workers,
-            "alive": self.live_workers(),
-            "pids": self.worker_pids(),
-            "pending": self._pending,
-            "queue_depth": self.queue_depth,
-            "deadline_s": self.deadline_s,
-            "retries": self.retries,
-            "spawned": self.spawned,
-            "respawns": self.respawns,
-            "crashes": self.crashes,
-            "deadline_misses": self.deadline_misses,
-            "requeues": self.requeues,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-        }
-
-
-def _swallow(future) -> None:
-    """Discard the result/exception of an abandoned recv future."""
-    if not future.cancelled():
-        future.exception()
 
 
 def retry_after_header(seconds: float) -> str:

@@ -14,25 +14,36 @@ import asyncio
 from repro.graphs import bfs_distances
 from repro.graphs.specs import parse_graph
 from repro.harness.hashing import canonical_json
-from repro.serve import DistanceService, SourceBatcher
+from repro.serve import DistanceService, SourceBatcher, Supervisor
 
 GRAPH = "er:24:p=0.15:seed=3"
+
+
+async def pooled(service, body):
+    """Await ``body(pool)`` against a started one-worker Supervisor."""
+    pool = Supervisor(service, workers=1)
+    await pool.start()
+    try:
+        return await body(pool)
+    finally:
+        await pool.close()
 
 
 def batch_service(sources, *, tick_s=0.05, max_batch=64):
     """One service where ``sources`` arrived concurrently."""
     service = DistanceService()
-    batcher = SourceBatcher(service, tick_s=tick_s, max_batch=max_batch)
     family = service.family_for(GRAPH)
 
-    async def go():
+    async def go(pool):
+        batcher = SourceBatcher(
+            pool.rows, pool.full, tick_s=tick_s, max_batch=max_batch
+        )
         await asyncio.gather(
             *(batcher.row(family, source) for source in sources)
         )
         await batcher.drain()
 
-    asyncio.run(go())
-    batcher.close()
+    asyncio.run(pooled(service, go))
     return service, family
 
 
@@ -110,10 +121,10 @@ def test_max_batch_splits_oversize_windows():
 
 def test_batch_failure_propagates_to_every_waiter():
     service = DistanceService()
-    batcher = SourceBatcher(service, tick_s=0.02)
     family = service.family_for("file:/missing/graph.txt")
 
-    async def go():
+    async def go(pool):
+        batcher = SourceBatcher(pool.rows, pool.full, tick_s=0.02)
         results = await asyncio.gather(
             batcher.row(family, 1), batcher.row(family, 2),
             return_exceptions=True,
@@ -121,7 +132,6 @@ def test_batch_failure_propagates_to_every_waiter():
         await batcher.drain()
         return results
 
-    results = asyncio.run(go())
-    batcher.close()
+    results = asyncio.run(pooled(service, go))
     assert len(results) == 2
     assert all(isinstance(r, Exception) for r in results)

@@ -331,3 +331,15 @@ class TestExperimentJobsFlag:
         ]) == 0
         capsys.readouterr()
         assert experiments.execution_config() == before
+
+
+class TestServeWorkersFlag:
+    @pytest.mark.parametrize("command", ["serve", "serve-chaos"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_workers_below_one_is_an_argparse_error(
+        self, command, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", value])
+        assert excinfo.value.code == 2
+        assert "--workers: must be at least 1" in capsys.readouterr().err

@@ -1,5 +1,9 @@
 """Smoke tests for the package surface."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
 from repro import congest, core, graphs, harness, protocols
 
@@ -27,3 +31,19 @@ def test_layering_core_imports_nothing_private_from_tests():
         "congest", "core", "graphs", "harness", "protocols",
         "__version__",
     ]
+
+
+def test_import_repro_is_asyncio_free():
+    # The harness imports its worker pool (and with it asyncio) only
+    # when a campaign needs one; run workloads pay for plain imports.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro; print('asyncio' in sys.modules)"],
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
