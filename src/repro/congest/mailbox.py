@@ -45,7 +45,8 @@ class Inbox:
     """Messages delivered to one node at the start of a round.
 
     Iteration order is deterministic: senders ascending, then staging
-    order within a sender.
+    order within a sender.  The sender order is fixed once, when the
+    inbox is built, so reading an inbox never sorts.
     """
 
     __slots__ = ("_by_sender",)
@@ -53,16 +54,19 @@ class Inbox:
     EMPTY: "Inbox"
 
     def __init__(self, by_sender: Mapping[int, Tuple[Message, ...]] = ()) -> None:
-        self._by_sender: Dict[int, Tuple[Message, ...]] = dict(by_sender or {})
+        self._by_sender: Dict[int, Tuple[Message, ...]] = dict(
+            sorted((by_sender or {}).items())
+        )
 
     @classmethod
     def _adopt(cls, by_sender: Dict[int, Tuple[Message, ...]]) -> "Inbox":
-        """Wrap ``by_sender`` without copying (scheduler fast path).
+        """Wrap ``by_sender`` without copying or sorting (scheduler path).
 
-        The caller must hand over ownership of the dict: inboxes are
-        immutable from the node's side, so the scheduler builds one dict
-        per receiver per round and adopts it directly instead of paying
-        a defensive copy.  Idle nodes share :data:`Inbox.EMPTY` instead
+        The caller must hand over ownership of the dict, with its keys
+        already in ascending sender order: inboxes are immutable from
+        the node's side, so the scheduler builds one ordered dict per
+        receiver per round and adopts it directly instead of paying a
+        defensive copy.  Idle nodes share :data:`Inbox.EMPTY` instead
         of allocating a fresh empty inbox every round.
         """
         box = cls.__new__(cls)
@@ -75,12 +79,12 @@ class Inbox:
 
     def senders(self) -> Tuple[int, ...]:
         """Neighbors that sent at least one message, ascending."""
-        return tuple(sorted(self._by_sender))
+        return tuple(self._by_sender)
 
     def items(self) -> Iterator[Tuple[int, Message]]:
         """Iterate ``(sender, message)`` pairs deterministically."""
-        for sender in sorted(self._by_sender):
-            for message in self._by_sender[sender]:
+        for sender, messages in self._by_sender.items():
+            for message in messages:
                 yield sender, message
 
     def messages(self) -> List[Message]:

@@ -20,7 +20,6 @@ randomness from ``seed`` alone.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -172,8 +171,8 @@ class Network:
         #: Node ids in scheduling order (ascending), fixed once — the
         #: round loop must never re-derive or re-sort this.
         self._node_order: Tuple[int, ...] = graph.nodes
-        #: Public randomness is seeded once and cloned per node — see
-        #: :class:`~repro.congest.node.PublicRandomness` for semantics.
+        #: Public randomness is seeded once and cloned per node on first
+        #: read — see :class:`~repro.congest.node.PublicRandomness`.
         public = PublicRandomness(f"{seed}|public")
         self._states: Dict[int, NodeState] = {}
         for uid in self._node_order:
@@ -183,8 +182,8 @@ class Network:
                 n=graph.n,
                 bandwidth_bits=self.bandwidth_bits,
                 size_model=self.size_model,
-                rng=random.Random(f"{seed}|node|{uid}"),
-                public_rng=public.view(),
+                _seed=seed,
+                _public=public,
                 input_value=inputs.get(uid),
             )
             self._states[uid] = NodeState(algorithm=factory(ctx))
@@ -249,7 +248,10 @@ class Network:
         cannot pre-exist; the defensive merge below keeps that
         assumption honest).  Receiver order is the node's send order —
         per-edge grouping makes cross-edge order irrelevant everywhere
-        it could be observed (policing sorts, inboxes sort senders).
+        it could be observed (policing sorts).  Senders are collected in
+        ascending id order, so every receiver's senders appear in the
+        staging map in ascending order too, which is the order inboxes
+        present them in.
         """
         algorithm = state.algorithm
         by_receiver = algorithm._outbox._by_receiver
@@ -361,7 +363,9 @@ class Network:
         cache, aggregates accumulate inline, and no intermediate
         ``deliveries`` dict or per-edge tuple list is materialized.
         Edge iteration is staging order, which is deterministic and
-        order-independent for every recorded quantity.
+        order-independent for every recorded quantity.  Staging order
+        already lists each receiver's senders ascending (see
+        :meth:`_collect_outbox`), so the inbox dicts need no sort.
         """
         sizeof = self._sizeof
         budget = self.bandwidth_bits
@@ -419,6 +423,9 @@ class Network:
         if self.fault_plan is not None:
             deliveries = self._filter_faults(deliveries)
 
+        # Drained backlog edges follow the fresh ones, so sort once here:
+        # sorted edges give every receiver its senders in ascending order.
+        ordered = sorted(deliveries.items())
         sizeof = self._sizeof
         self.metrics.record_round(
             (
@@ -426,11 +433,11 @@ class Network:
                 len(messages),
                 sum(sizeof(message) for message in messages),
             )
-            for edge, messages in sorted(deliveries.items())
+            for edge, messages in ordered
         )
 
         inbox_map: Dict[int, Dict[int, Tuple[Message, ...]]] = {}
-        for (sender, receiver), messages in deliveries.items():
+        for (sender, receiver), messages in ordered:
             inbox_map.setdefault(receiver, {})[sender] = tuple(messages)
         return inbox_map
 
@@ -464,11 +471,13 @@ class Network:
 
         # Resume every live node program with its inbox.  ``_active``
         # holds exactly the non-halted, non-crashed nodes in ascending
-        # id order; idle receivers share the empty-inbox singleton.
+        # id order; idle receivers share the empty-inbox singleton, and
+        # nodes that staged nothing are not collected.
         fault_plan = self.fault_plan
         round_no = self.round_no
         states = self._states
         adopt = Inbox._adopt
+        empty = Inbox.EMPTY
         next_active: List[int] = []
         for uid in self._active:
             state = states[uid]
@@ -477,15 +486,18 @@ class Network:
             ):
                 continue
             by_sender = inbox_map.get(uid)
-            inbox = Inbox.EMPTY if by_sender is None else adopt(by_sender)
-            state.algorithm.round = round_no
+            inbox = empty if by_sender is None else adopt(by_sender)
+            algorithm = state.algorithm
+            algorithm.round = round_no
             try:
                 state.generator.send(inbox)
             except StopIteration as stop:
                 self._halt(state, stop.value)
-                self._collect_outbox(uid, state)
+                if algorithm._outbox._by_receiver:
+                    self._collect_outbox(uid, state)
                 continue
-            self._collect_outbox(uid, state)
+            if algorithm._outbox._by_receiver:
+                self._collect_outbox(uid, state)
             next_active.append(uid)
         self._active = next_active
         return self.running

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Generator, Optional, Tuple
 
 from .errors import ProtocolError
@@ -82,8 +83,11 @@ class NodeContext:
     streams are views of one :class:`PublicRandomness` object (seeded
     once per network, cloned per node — see its docstring for the
     sharing semantics); each view advances independently, so one node's
-    draws never perturb another's.  ``input_value`` carries per-node
-    problem input (e.g. membership in the set ``S`` for S-SP).
+    draws never perturb another's.  Both generators are built on first
+    read, so programs that never draw (Algorithms 1 and 2) never pay
+    for them; the streams are the same whenever they are first read.
+    ``input_value`` carries per-node problem input (e.g. membership in
+    the set ``S`` for S-SP).
     """
 
     uid: int
@@ -91,14 +95,26 @@ class NodeContext:
     n: int
     bandwidth_bits: int
     size_model: SizeModel
-    rng: random.Random = field(compare=False, repr=False)
-    public_rng: random.Random = field(compare=False, repr=False)
+    #: The run seed and the shared public stream the two generators are
+    #: derived from (framework plumbing, not part of a node's knowledge).
+    _seed: int = field(compare=False, repr=False)
+    _public: PublicRandomness = field(compare=False, repr=False)
     input_value: Any = None
 
     @property
     def degree(self) -> int:
         """Number of incident edges."""
         return len(self.neighbors)
+
+    @cached_property
+    def rng(self) -> random.Random:
+        """This node's private randomness, seeded from ``(seed, uid)``."""
+        return random.Random(f"{self._seed}|node|{self.uid}")
+
+    @cached_property
+    def public_rng(self) -> random.Random:
+        """This node's view of the shared public stream."""
+        return self._public.view()
 
 
 class NodeAlgorithm:
@@ -150,7 +166,12 @@ class NodeAlgorithm:
             raise ProtocolError(
                 f"node {self.uid} tried to send non-Message {message!r}"
             )
-        self._outbox.add(receiver, message)
+        by_receiver = self._outbox._by_receiver
+        staged = by_receiver.get(receiver)
+        if staged is None:
+            by_receiver[receiver] = [message]
+        else:
+            staged.append(message)
 
     def send_all(self, message: Message) -> None:
         """Stage the same ``message`` to every neighbor (a local broadcast)."""

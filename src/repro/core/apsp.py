@@ -86,19 +86,30 @@ def apsp_phase(node: NodeAlgorithm, tree, *, collect_girth: bool = False):
 
     while finish_round is None or node.round < finish_round:
         inbox = yield
-        _process_waves(node, inbox, outcome, collect_girth, tracer)
+        pebble_received = False
+        if inbox:
+            # One pass splits the inbox by message type.  The handlers
+            # still run waves, finish broadcast, pebble: that order
+            # fixes the per-edge order of what this node sends.
+            tokens: List[Tuple[int, BfsToken]] = []
+            finishes: List[DownMsg] = []
+            for sender, msg in inbox.items():
+                if isinstance(msg, BfsToken):
+                    tokens.append((sender, msg))
+                elif isinstance(msg, PebbleMsg):
+                    pebble_received = True
+                elif isinstance(msg, DownMsg) and msg.root == tree.root:
+                    finishes.append(msg)
+            if tokens:
+                _process_waves(node, tokens, outcome, collect_girth, tracer)
 
-        # ---- finish broadcast ----
-        for _, msg in inbox.items():
-            if isinstance(msg, DownMsg) and msg.root == tree.root:
+            # ---- finish broadcast ----
+            for msg in finishes:
                 finish_round = msg.value
                 for child in children:
                     node.send(child, msg)
 
         # ---- pebble ----
-        pebble_received = any(
-            isinstance(msg, PebbleMsg) for _, msg in inbox.items()
-        )
         move_now = False
         if pebble_received:
             pebble_here = True
@@ -150,13 +161,18 @@ def apsp_phase(node: NodeAlgorithm, tree, *, collect_girth: bool = False):
     return outcome
 
 
-def _process_waves(node: NodeAlgorithm, inbox, outcome: ApspPhaseOutcome,
+def _process_waves(node: NodeAlgorithm,
+                   tokens: List[Tuple[int, BfsToken]],
+                   outcome: ApspPhaseOutcome,
                    collect_girth: bool, tracer=None) -> None:
-    """Adopt/forward BFS waves; collect girth candidates (Lemma 7)."""
+    """Adopt/forward BFS waves; collect girth candidates (Lemma 7).
+
+    ``tokens`` are this round's ``(sender, BfsToken)`` arrivals in inbox
+    order.
+    """
     arrivals: Dict[int, List[Tuple[int, int]]] = {}
-    for sender, msg in inbox.items():
-        if isinstance(msg, BfsToken):
-            arrivals.setdefault(msg.root, []).append((sender, msg.dist))
+    for sender, msg in tokens:
+        arrivals.setdefault(msg.root, []).append((sender, msg.dist))
     forwarded = 0
     for wave_root in sorted(arrivals):
         entries = arrivals[wave_root]
@@ -180,10 +196,12 @@ def _process_waves(node: NodeAlgorithm, inbox, outcome: ApspPhaseOutcome,
         if collect_girth and len(senders) > 1:
             # Two same-round senders close a cycle through the root.
             outcome.note_cycle(2 * depth)
+        # One frozen token serves the whole flood.
+        token = BfsToken(root=wave_root, dist=depth)
         suppressed = set(senders)
         for neighbor in node.neighbors:
             if neighbor not in suppressed:
-                node.send(neighbor, BfsToken(root=wave_root, dist=depth))
+                node.send(neighbor, token)
         forwarded += 1
     if forwarded > 1:
         # Lemma 1 says this never happens; count it so tests can assert

@@ -291,7 +291,10 @@ class SequentialBfsApsp(NodeAlgorithm):
                 outcome.parents[self.uid] = None
                 self.send_all(BfsToken(root=self.uid, dist=0))
             inbox = yield
-            _process_waves(self, inbox, outcome, False)
+            if inbox:
+                tokens = [(sender, msg) for sender, msg in inbox.items()
+                          if isinstance(msg, BfsToken)]
+                _process_waves(self, tokens, outcome, False)
         return ApspResult(
             uid=self.uid,
             distances=outcome.distances,

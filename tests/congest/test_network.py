@@ -1,14 +1,18 @@
 """Integration tests for the synchronous scheduler."""
 
+import random
+
 import pytest
 
 from repro.congest import (
     BandwidthExceededError,
     GraphError,
+    IdMessage,
     Network,
     NodeAlgorithm,
     ProtocolError,
     RoundLimitExceededError,
+    SizeModel,
     Token,
     ValueMessage,
     run_algorithm,
@@ -122,6 +126,46 @@ class TestDeterminism:
 
         result = run_algorithm(path_graph(6), Private, seed=9)
         assert len(set(result.results.values())) == 6
+
+    def test_lazily_built_streams_pin_exact_draws(self):
+        # Both generators are built on first read; a node that first
+        # draws in round 3 still gets the stream's first value.
+        class Late(NodeAlgorithm):
+            def program(self):
+                while self.round < 3:
+                    yield
+                return (self.round, self.ctx.rng.random(),
+                        self.ctx.public_rng.random())
+
+        seed = 9
+        result = run_algorithm(path_graph(6), Late, seed=seed)
+        public = random.Random(f"{seed}|public").random()
+        assert result.results == {
+            uid: (3, random.Random(f"{seed}|node|{uid}").random(), public)
+            for uid in range(1, 7)
+        }
+
+
+class TestInboxOrder:
+    def test_senders_ascending_when_serialize_backlog_drains(self):
+        # Node 3's second message waits a round on edge (3, 4) and is
+        # drained after node 5's fresh send; the inbox still lists
+        # senders ascending.
+        class Converge(NodeAlgorithm):
+            def program(self):
+                if self.uid == 3:
+                    self.send(4, IdMessage(uid=1))
+                    self.send(4, IdMessage(uid=2))
+                yield
+                if self.uid == 5:
+                    self.send(4, IdMessage(uid=3))
+                inbox = yield
+                return [sender for sender, _ in inbox.items()]
+
+        budget = IdMessage(uid=1).size_bits(SizeModel(5))
+        result = run_algorithm(path_graph(5), Converge, policy="serialize",
+                               bandwidth_bits=budget)
+        assert result.results[4] == [3, 5]
 
 
 class TestProtocolEnforcement:
