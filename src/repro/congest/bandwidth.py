@@ -67,9 +67,10 @@ class BandwidthPolicy:
 class StrictPolicy(BandwidthPolicy):
     """Raise if an algorithm exceeds the per-edge budget (default).
 
-    Note the fault-free scheduler inlines this check on its fast path
-    (see ``Network.step``); this class remains the policing strategy
-    whenever faults or a non-default policy are configured.
+    The scheduler delivers an edge that fits the budget inline, without
+    calling :meth:`admit` (see ``Network._deliver``); every edge above
+    it, and every edge while faults are configured, is admitted here in
+    sorted edge order, so an overflow names the smallest such edge.
     """
 
     def admit(

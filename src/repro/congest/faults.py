@@ -199,7 +199,6 @@ class FaultPlan:
         #: without changing any decision the plan would make.
         self.has_drops: bool = spec.drop_rate > 0.0
         self.has_outages: bool = bool(self._outages)
-        self.has_crashes: bool = bool(self._crash_rounds)
 
     def crash_round(self, uid: int) -> Optional[int]:
         """The round at which ``uid`` crash-stops, or ``None``."""

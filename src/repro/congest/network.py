@@ -24,13 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..graphs.graph import Graph
-from .bandwidth import BandwidthPolicy, StrictPolicy, make_policy
-from .errors import (
-    BandwidthExceededError,
-    GraphError,
-    ProtocolError,
-    RoundLimitExceededError,
-)
+from .bandwidth import BandwidthPolicy, make_policy
+from .errors import GraphError, ProtocolError, RoundLimitExceededError
 from .faults import FaultPlan, FaultReport, FaultSpec, ensure_plan
 from .mailbox import Inbox, Outbox
 from .message import Message, SizeModel
@@ -195,13 +190,6 @@ class Network:
         #: Node ids still running (not halted, not crashed), ascending;
         #: maintained incrementally so idle rounds never scan dead nodes.
         self._active: List[int] = list(self._node_order)
-        #: The fault-free strict fast path: bandwidth policing, metrics
-        #: accounting and delivery run in one inlined pass per round,
-        #: skipping the fault/backlog branches entirely.  Only the exact
-        #: StrictPolicy qualifies (it is stateless and never backlogs).
-        self._fast_path = (
-            self.fault_plan is None and type(self.policy) is StrictPolicy
-        )
         #: Memoized per-class size lookup bound once for the hot loop.
         self._sizeof = self.size_model.size_bits
         if _network_observer is not None:
@@ -282,10 +270,10 @@ class Network:
         self.metrics.nodes_crashed += 1
         return True
 
-    def _filter_faults(
-        self, deliveries: Dict[Tuple[int, int], List[Message]]
-    ) -> Dict[Tuple[int, int], List[Message]]:
-        """Apply the fault plan to this round's deliveries.
+    def _apply_faults(
+        self, edge: Tuple[int, int], messages: List[Message]
+    ) -> List[Message]:
+        """Apply the fault plan to one policed edge; returns what arrives.
 
         Suppression (link down / crashed receiver) and random drops
         happen *at delivery time*, after bandwidth policing, so lost
@@ -293,32 +281,26 @@ class Network:
         delivered.
         """
         plan, report = self.fault_plan, self.fault_report
-        sizeof = self._sizeof
-        filtered: Dict[Tuple[int, int], List[Message]] = {}
-        for edge in sorted(deliveries):
-            sender, receiver = edge
-            messages = deliveries[edge]
-            if (
-                plan.link_down(sender, receiver, self.round_no)
-                or plan.is_crashed(receiver, self.round_no)
-            ):
-                bits = sum(sizeof(message) for message in messages)
-                self.metrics.record_suppressed(len(messages), bits)
-                report.messages_suppressed += len(messages)
-                continue
-            if not plan.has_drops:
-                filtered[edge] = messages
-                continue
-            kept: List[Message] = []
-            for index, message in enumerate(messages):
-                if plan.drops(sender, receiver, self.round_no, index):
-                    self.metrics.record_dropped(1, sizeof(message))
-                    report.messages_dropped += 1
-                else:
-                    kept.append(message)
-            if kept:
-                filtered[edge] = kept
-        return filtered
+        round_no, sizeof = self.round_no, self._sizeof
+        sender, receiver = edge
+        if (
+            plan.link_down(sender, receiver, round_no)
+            or plan.is_crashed(receiver, round_no)
+        ):
+            bits = sum(sizeof(message) for message in messages)
+            self.metrics.record_suppressed(len(messages), bits)
+            report.messages_suppressed += len(messages)
+            return []
+        if not plan.has_drops:
+            return messages
+        kept: List[Message] = []
+        for index, message in enumerate(messages):
+            if plan.drops(sender, receiver, round_no, index):
+                self.metrics.record_dropped(1, sizeof(message))
+                report.messages_dropped += 1
+            else:
+                kept.append(message)
+        return kept
 
     @property
     def running(self) -> bool:
@@ -335,53 +317,49 @@ class Network:
             or self.policy.has_backlog
         )
 
-    def _raise_overflow(self, staged: Dict[Tuple[int, int], List[Message]]):
-        """Re-scan an overflowing round in sorted edge order and raise.
-
-        The fast path polices edges in (deterministic) staging order for
-        speed; on the failure path we pay a sorted re-scan so the error
-        names the same edge the policy-based slow path would have named.
-        """
-        sizeof = self._sizeof
-        for edge in sorted(staged):
-            used = sum(sizeof(message) for message in staged[edge])
-            if used > self.bandwidth_bits:
-                sender, receiver = edge
-                raise BandwidthExceededError(
-                    sender, receiver, self.round_no, used,
-                    self.bandwidth_bits,
-                )
-        raise AssertionError("overflow vanished on re-scan")  # pragma: no cover
-
-    def _deliver_fast(
+    def _deliver(
         self, staged: Dict[Tuple[int, int], List[Message]]
     ) -> Dict[int, Dict[int, Tuple[Message, ...]]]:
-        """Fault-free strict delivery: police, account and route in one pass.
+        """Police, account and route one round: ``receiver -> sender -> msgs``.
 
-        Equivalent to ``StrictPolicy.admit`` on every edge followed by
-        ``metrics.record_round`` — but wire sizes come from the per-class
-        cache, aggregates accumulate inline, and no intermediate
-        ``deliveries`` dict or per-edge tuple list is materialized.
-        Edge iteration is staging order, which is deterministic and
-        order-independent for every recorded quantity.  Staging order
-        already lists each receiver's senders ascending (see
-        :meth:`_collect_outbox`), so the inbox dicts need no sort.
+        The first pass walks the edges in staging order and fuses the
+        work per edge: sum the cached wire sizes, and if the edge fits
+        within ``limit``, accumulate the round aggregates and route it
+        into its receiver's inbox inline.  Staging order already lists
+        each receiver's senders ascending (see :meth:`_collect_outbox`),
+        so those inboxes need no sort.
+
+        Edges above ``limit`` go to a second pass that admits them
+        through the policy in sorted edge order (so a strict overflow
+        names the smallest overflowing edge), drains any backlog,
+        applies the fault plan edge by edge once every edge is policed,
+        accounts the result, and re-sorts the inboxes it touched.
+        ``limit`` is the policy's budget, or -1 while a fault plan is
+        set or a backlog is queued, which defers every edge.  Every
+        policy delivers an edge whole when it fits the budget and
+        nothing is queued, so the two passes agree.
         """
+        policy = self.policy
+        limit = (
+            -1 if self.fault_plan is not None or policy.has_backlog
+            else policy.budget_bits
+        )
         sizeof = self._sizeof
-        budget = self.bandwidth_bits
         track = self.metrics.edge_bits is not None
         edge_entries = [] if track else None
         round_messages = 0
         round_bits = 0
         max_bits = 0
         max_messages = 0
+        deferred: List[Tuple[int, int]] = []
         inbox_map: Dict[int, Dict[int, Tuple[Message, ...]]] = {}
         for edge, messages in staged.items():
             bits = 0
             for message in messages:
                 bits += sizeof(message)
-            if bits > budget:
-                self._raise_overflow(staged)
+            if bits > limit:
+                deferred.append(edge)
+                continue
             count = len(messages)
             round_messages += count
             round_bits += bits
@@ -397,48 +375,41 @@ class Network:
                 inbox_map[receiver] = {sender: tuple(messages)}
             else:
                 box[sender] = tuple(messages)
+
+        if deferred or policy.has_backlog:
+            round_no = self.round_no
+            deliveries = {
+                edge: policy.admit(edge, staged[edge], round_no)
+                for edge in sorted(deferred)
+            }
+            if policy.has_backlog:
+                # Drain skips every staged edge, so no key is overwritten.
+                deliveries.update(
+                    policy.drain(round_no, exclude=frozenset(staged))
+                )
+            touched = set()
+            for edge, messages in deliveries.items():
+                if self.fault_plan is not None:
+                    messages = self._apply_faults(edge, messages)
+                if not messages:
+                    continue
+                count = len(messages)
+                bits = sum(sizeof(message) for message in messages)
+                round_messages += count
+                round_bits += bits
+                max_bits = max(max_bits, bits)
+                max_messages = max(max_messages, count)
+                if track:
+                    edge_entries.append((edge, bits))
+                sender, receiver = edge
+                inbox_map.setdefault(receiver, {})[sender] = tuple(messages)
+                touched.add(receiver)
+            for receiver in touched:
+                inbox_map[receiver] = dict(sorted(inbox_map[receiver].items()))
+
         self.metrics.record_round_totals(
             round_messages, round_bits, max_bits, max_messages, edge_entries
         )
-        return inbox_map
-
-    def _deliver_general(
-        self, staged: Dict[Tuple[int, int], List[Message]]
-    ) -> Dict[int, Dict[int, Tuple[Message, ...]]]:
-        """Policy-mediated delivery with backlog and fault handling."""
-        deliveries: Dict[Tuple[int, int], List[Message]] = {}
-        for edge in sorted(staged):
-            admitted = self.policy.admit(edge, staged[edge], self.round_no)
-            if admitted:
-                deliveries[edge] = admitted
-        if self.policy.has_backlog:
-            serviced = frozenset(staged)
-            drained = self.policy.drain(self.round_no, exclude=serviced)
-            for edge, admitted in drained.items():
-                if edge in deliveries:
-                    deliveries[edge].extend(admitted)
-                elif admitted:
-                    deliveries[edge] = admitted
-
-        if self.fault_plan is not None:
-            deliveries = self._filter_faults(deliveries)
-
-        # Drained backlog edges follow the fresh ones, so sort once here:
-        # sorted edges give every receiver its senders in ascending order.
-        ordered = sorted(deliveries.items())
-        sizeof = self._sizeof
-        self.metrics.record_round(
-            (
-                edge,
-                len(messages),
-                sum(sizeof(message) for message in messages),
-            )
-            for edge, messages in ordered
-        )
-
-        inbox_map: Dict[int, Dict[int, Tuple[Message, ...]]] = {}
-        for (sender, receiver), messages in ordered:
-            inbox_map.setdefault(receiver, {})[sender] = tuple(messages)
         return inbox_map
 
     def step(self) -> bool:
@@ -464,10 +435,7 @@ class Network:
 
         # Police staged traffic, account the round, and build inboxes.
         staged, self._staged = self._staged, {}
-        if self._fast_path:
-            inbox_map = self._deliver_fast(staged)
-        else:
-            inbox_map = self._deliver_general(staged)
+        inbox_map = self._deliver(staged)
 
         # Resume every live node program with its inbox.  ``_active``
         # holds exactly the non-halted, non-crashed nodes in ascending

@@ -44,50 +44,50 @@ class TraceRecorder:
 
     def __init__(self) -> None:
         self.events: List[TraceEvent] = []
+        #: round -> directed edge -> messages still queued after that
+        #: round's delivery; only backlogging policies populate it.
+        self.queue_depths: Dict[int, Dict[Tuple[int, int], int]] = {}
 
     # -- attachment ----------------------------------------------------------
 
     @classmethod
     def attach(cls, network: Network) -> "TraceRecorder":
-        """Wrap ``network``'s round step so deliveries are recorded.
+        """Wrap ``network``'s delivery so every delivered message is logged.
 
-        Attachment is non-invasive: it decorates the network's metrics
-        recording path by wrapping ``Network.step``'s policy admission
-        via the metrics hook — concretely, we wrap the bound
-        ``policy.admit`` so every admitted batch is logged.
-
-        Attaching also switches the network off its fault-free strict
-        fast path (which inlines admission and never calls the policy):
-        deliveries are identical either way — that equivalence is pinned
-        by the golden tests — but only the policy-mediated path has a
-        seam to observe them from.  Tracing is a debugging instrument,
-        so the slowdown is deliberate and confined to traced runs.
+        The wrapper shadows ``Network._deliver`` on this one instance and
+        reads its result: the messages that actually reach an inbox,
+        after bandwidth policing, backlog draining and fault injection,
+        in ascending ``(sender, receiver)`` order per round.  The network
+        runs the same delivery code traced or not, so metrics and results
+        are identical either way.
         """
         recorder = cls()
-        network._fast_path = False
-        policy = network.policy
-        original_admit = policy.admit
-        original_drain = policy.drain
+        deliver = network._deliver
+        events = recorder.events
 
-        def admit(edge, staged, round_no):
-            delivered = original_admit(edge, staged, round_no)
-            for message in delivered:
-                recorder.events.append(
-                    TraceEvent(round_no, edge[0], edge[1], message)
-                )
-            return delivered
-
-        def drain(round_no, exclude=frozenset()):
-            batches = original_drain(round_no, exclude=exclude)
-            for edge, delivered in batches.items():
-                for message in delivered:
-                    recorder.events.append(
-                        TraceEvent(round_no, edge[0], edge[1], message)
+        def traced(staged):
+            inbox_map = deliver(staged)
+            round_no = network.round_no
+            delivered = sorted(
+                (sender, receiver, messages)
+                for receiver, by_sender in inbox_map.items()
+                for sender, messages in by_sender.items()
+            )
+            for sender, receiver, messages in delivered:
+                for message in messages:
+                    events.append(
+                        TraceEvent(round_no, sender, receiver, message)
                     )
-            return batches
+            queues = getattr(network.policy, "_queues", None)
+            if queues:
+                depths = {
+                    edge: len(queue) for edge, queue in queues.items() if queue
+                }
+                if depths:
+                    recorder.queue_depths[round_no] = depths
+            return inbox_map
 
-        policy.admit = admit  # type: ignore[method-assign]
-        policy.drain = drain  # type: ignore[method-assign]
+        network._deliver = traced  # type: ignore[method-assign]
         return recorder
 
     # -- queries ---------------------------------------------------------------

@@ -20,9 +20,9 @@ It installs two hooks for the duration of the ``with`` body:
    capture with zero changes to the entry points.
 
 Both hooks are restored on exit (previous values, so captures nest).
-Attaching a recorder switches that network off its strict fast path —
-deliveries are identical either way (pinned by the golden-equivalence
-tests), just slower; untraced runs are untouched.
+The recorder wraps that one network's delivery step, so a traced run
+executes the same delivery code as an untraced one; untraced networks
+are untouched.
 
 The output is a :class:`Trace`: message records (round, edge, kind,
 bits, payload), the span/event stream, per-round aggregates, queue
@@ -189,41 +189,11 @@ class CaptureSession:
     def __init__(self, tracer: Tracer) -> None:
         self.tracer = tracer
         self._captures: List[Tuple[Network, TraceRecorder]] = []
-        self._queue_depths: Dict[int, Dict[int, Dict[DirectedEdge, int]]] = {}
 
     # -- the network-construction hook -------------------------------------
 
     def _observe(self, network: Network) -> None:
-        recorder = TraceRecorder.attach(network)
-        index = len(self._captures)
-        self._captures.append((network, recorder))
-        self._queue_depths[index] = {}
-        self._wrap_step(network, index)
-
-    def _wrap_step(self, network: Network, index: int) -> None:
-        """Snapshot per-edge queue depths after every round.
-
-        Only backlogging policies expose ``_queues``; for the rest the
-        snapshot is a cheap no-op (one getattr per round of a run that
-        is already paying the tracing slow path).
-        """
-        original_step = network.step
-        depths = self._queue_depths[index]
-
-        def step() -> bool:
-            running = original_step()
-            queues = getattr(network.policy, "_queues", None)
-            if queues:
-                snapshot = {
-                    edge: len(queue)
-                    for edge, queue in queues.items()
-                    if queue
-                }
-                if snapshot:
-                    depths[network.round_no] = snapshot
-            return running
-
-        network.step = step  # type: ignore[method-assign]
+        self._captures.append((network, TraceRecorder.attach(network)))
 
     # -- results -----------------------------------------------------------
 
@@ -263,7 +233,7 @@ class CaptureSession:
             messages=messages,
             events=self.tracer.events(),
             spans=self.tracer.finished_spans(final_round=final_round),
-            queue_depths=self._queue_depths.get(index, {}),
+            queue_depths=recorder.queue_depths,
             label=label,
         )
 
@@ -286,8 +256,8 @@ def capture(
     """Record every simulation run in the ``with`` body (module doc).
 
     ``messages=False`` skips the network hook — only span/event
-    instrumentation is collected, and traced networks keep their fast
-    path (useful for cheap phase-level timelines on large runs).
+    instrumentation is collected, and networks run unwrapped (useful
+    for cheap phase-level timelines on large runs).
     """
     session = CaptureSession(tracer if tracer is not None else Tracer())
     previous_tracer = tracer_mod.install(session.tracer)

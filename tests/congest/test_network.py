@@ -167,6 +167,25 @@ class TestInboxOrder:
                                bandwidth_bits=budget)
         assert result.results[4] == [3, 5]
 
+    def test_senders_ascending_when_serialize_defers_one_edge(self):
+        # Edge (1, 2) overflows and is admitted through the policy while
+        # (3, 2) fits and is delivered inline in the same round; node 2
+        # still lists its senders ascending.
+        class Converge(NodeAlgorithm):
+            def program(self):
+                if self.uid == 1:
+                    self.send(2, IdMessage(uid=1))
+                    self.send(2, IdMessage(uid=2))
+                elif self.uid == 3:
+                    self.send(2, IdMessage(uid=3))
+                inbox = yield
+                return [sender for sender, _ in inbox.items()]
+
+        budget = IdMessage(uid=1).size_bits(SizeModel(3))
+        result = run_algorithm(path_graph(3), Converge, policy="serialize",
+                               bandwidth_bits=budget)
+        assert result.results[2] == [1, 3]
+
 
 class TestProtocolEnforcement:
     def test_send_to_non_neighbor_rejected(self):

@@ -8,7 +8,8 @@ when a capture session is live.  This module pins all of it, with
 
 * no tracer is active by default, and traced-then-exited sessions leave
   the globals clean;
-* an untraced run keeps the strict fault-free fast path;
+* an untraced network runs the class's ``Network._deliver`` (no
+  instance-level wrapper), and only captured networks get one;
 * golden-equivalence cases still reproduce their pinned metrics and
   result digests byte-for-byte;
 * the bench suite's deterministic counters still equal the committed
@@ -39,24 +40,24 @@ class TestInertByDefault:
 
     def test_untraced_network_keeps_fast_path(self):
         network = Network(parse_graph("path:6"), ApspNode, seed=0)
-        assert network._fast_path
+        assert "_deliver" not in vars(network)
         network.run()
-        assert network._fast_path
+        assert "_deliver" not in vars(network)
 
     def test_traced_network_leaves_fast_path_and_next_run_regains_it(self):
         from repro import obs
 
         with obs.capture():
             traced = Network(parse_graph("path:6"), ApspNode, seed=0)
-            assert not traced._fast_path
+            assert "_deliver" in vars(traced)
             traced.run()
         untraced = Network(parse_graph("path:6"), ApspNode, seed=0)
-        assert untraced._fast_path
+        assert "_deliver" not in vars(untraced)
 
 
 class TestGoldensUnchanged:
     """The golden-equivalence suite runs in full elsewhere; here we pin
-    one fast-path and one fault-injected case with repro.obs imported in
+    one strict edge-tracked and one S-SP case with repro.obs imported in
     the same process, which is what this module is about."""
 
     @pytest.fixture(scope="class")
@@ -96,8 +97,8 @@ class TestBenchCountersUnchanged:
 
 
 class TestTracingIsObservationallyInvisible:
-    """Tracing takes the slow path, but deliveries, results and metrics
-    must be identical — the capture layer is a pure observer."""
+    """Tracing wraps delivery, but deliveries, results and metrics must
+    be identical — the capture layer is a pure observer."""
 
     def test_traced_run_matches_untraced_metrics_and_results(self):
         from repro import obs

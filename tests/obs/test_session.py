@@ -1,10 +1,12 @@
 """Capture-session behaviour: hook install/restore, trace assembly,
-queue depths, and the messages=False fast-path-preserving mode."""
+queue depths, and the messages=False mode that leaves networks
+unwrapped."""
 
 import pytest
 
 from repro import core, obs
 from repro.congest import network as network_mod
+from repro.congest.faults import FaultSpec, LinkOutage
 from repro.congest.network import Network
 from repro.core.apsp import ApspNode
 from repro.graphs.specs import parse_graph
@@ -77,6 +79,31 @@ class TestTraceAssembly:
         assert sum(c for c, _ in totals.values()) == len(trace.messages)
         assert 0.0 < trace.max_edge_utilization() <= 1.0
 
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultSpec(drop_rate=0.05, seed=3),
+            FaultSpec(
+                crashes=((3, 10),),
+                links=(LinkOutage(0, 1, 2, 30),),
+                seed=1,
+            ),
+        ],
+        ids=["drops", "crash_and_outage"],
+    )
+    def test_faulty_trace_lists_only_delivered_messages(self, faults):
+        graph = parse_graph("er:20:p=0.2:seed=5")
+        with obs.capture() as session:
+            summary = core.run_apsp(graph, seed=0, faults=faults)
+        trace, metrics = session.trace, summary.metrics
+        assert metrics.messages_dropped + metrics.messages_suppressed > 0
+        assert len(trace.messages) == metrics.messages_total
+        assert {s.round_no: s.messages for s in trace.round_stats()} == {
+            round_no: count
+            for round_no, count in enumerate(metrics.messages_per_round, 1)
+            if count
+        }
+
     def test_queue_depths_under_serialize_backlog(self):
         from repro.congest.message import IdMessage
         from repro.congest.node import NodeAlgorithm
@@ -122,7 +149,7 @@ class TestMessagesOff:
         finally:
             Network.__init__ = original
         assert session.network_count == 0
-        assert captured and captured[0]._fast_path
+        assert captured and "_deliver" not in vars(captured[0])
         # Span/event instrumentation still ran.
         assert session.tracer.events("pebble_move")
         assert any(
