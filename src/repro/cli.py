@@ -455,9 +455,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     handle = None
     url = args.url
     if url is None:
-        handle = serve.ServerThread(
-            serve.DistanceService(cache_dir=args.cache_dir)
-        ).start()
+        handle = serve.ServerThread(cache_dir=args.cache_dir).start()
         url = handle.url
     try:
         report = serve.run_loadgen(serve.LoadgenOptions(
@@ -761,68 +759,79 @@ def build_parser() -> argparse.ArgumentParser:
                         "--warn-only (the cross-backend identity gate)")
     p.set_defaults(func=cmd_bench)
 
+    # The serve flags' defaults are ServerConfig's, declared once.
+    from .serve import ServerConfig
+
+    config = ServerConfig()
     p = sub.add_parser(
         "serve",
         help="persistent distance-query HTTP service with request "
              "batching and memoized matrices (see docs/serving.md)",
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8972,
-                   help="listen port (0 = ephemeral; default 8972)")
+    p.add_argument("--host", default=config.host)
+    p.add_argument("--port", type=int, default=config.port,
+                   help="listen port (0 = ephemeral; default %(default)s)")
     p.add_argument("--graph", action="append", metavar="SPEC",
                    help="preload this graph spec (repeatable)")
     p.add_argument("--warm", action="append", metavar="SPEC",
                    help="precompute the full APSP matrix for this "
                         "spec before serving (repeatable)")
-    p.add_argument("--cache-dir", default=None,
+    p.add_argument("--cache-dir", default=config.cache_dir,
                    help="content-addressed run cache persisting "
                         "matrices across restarts")
-    p.add_argument("--max-matrix-mb", type=float, default=64.0,
-                   help="in-memory matrix LRU budget (default 64)")
-    p.add_argument("--tick-ms", type=float, default=5.0,
+    p.add_argument("--max-matrix-mb", type=float,
+                   default=config.max_matrix_bytes / (1024 * 1024),
+                   help="in-memory matrix LRU budget (default %(default)g)")
+    p.add_argument("--tick-ms", type=float, default=config.tick_s * 1000,
                    help="batching window: concurrent queries within "
-                        "one tick share a single S-SP run (default 5)")
-    p.add_argument("--max-batch", type=int, default=64,
-                   help="max sources per batched run (default 64)")
-    p.add_argument("--policy", default="strict",
+                        "one tick share a single S-SP run "
+                        "(default %(default)g)")
+    p.add_argument("--max-batch", type=int, default=config.max_batch,
+                   help="max sources per batched run (default %(default)s)")
+    p.add_argument("--policy", default=config.policy,
                    help="bandwidth policy for on-demand runs")
     p.add_argument("--backend", choices=["object", "vector"],
-                   default="object",
+                   default=config.backend,
                    help="execution engine for on-demand runs "
                         "(vector needs the 'vector' install extra)")
-    p.add_argument("--stats-out", default=None, metavar="PATH",
+    p.add_argument("--stats-out", default=config.stats_path,
+                   metavar="PATH",
                    help="write the final /stats snapshot here on "
                         "shutdown")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_worker_count, default=2,
+    p.add_argument("--seed", type=int, default=config.seed)
+    p.add_argument("--workers", type=_worker_count, default=config.workers,
                    help="supervised compute worker processes; every "
                         "cold query runs in this pool (at least 1; "
-                        "default 2)")
-    p.add_argument("--deadline", type=float, default=30.0,
+                        "default %(default)s)")
+    p.add_argument("--deadline", type=float, default=config.deadline_s,
                    help="per-compute wall-clock budget in seconds "
-                        "(<=0 disables; default 30)")
-    p.add_argument("--retries", type=int, default=1,
-                   help="crash retries per compute job (default 1)")
-    p.add_argument("--queue-depth", type=int, default=128,
+                        "(<=0 disables; default %(default)g)")
+    p.add_argument("--retries", type=int, default=config.retries,
+                   help="crash retries per compute job (default %(default)s)")
+    p.add_argument("--queue-depth", type=int, default=config.queue_depth,
                    help="pending compute jobs before 429 shedding "
-                        "(default 128)")
-    p.add_argument("--breaker-threshold", type=int, default=3,
+                        "(default %(default)s)")
+    p.add_argument("--breaker-threshold", type=int,
+                   default=config.breaker_threshold,
                    help="consecutive compute failures before a "
                         "family's circuit breaker opens "
-                        "(0 disables; default 3)")
-    p.add_argument("--breaker-reset", type=float, default=5.0,
+                        "(0 disables; default %(default)s)")
+    p.add_argument("--breaker-reset", type=float,
+                   default=config.breaker_reset_s,
                    help="seconds an open breaker waits before its "
-                        "half-open probe (default 5)")
-    p.add_argument("--max-inflight", type=int, default=256,
+                        "half-open probe (default %(default)g)")
+    p.add_argument("--max-inflight", type=int, default=config.max_inflight,
                    help="concurrent request cap before 429 shedding "
-                        "(0 disables; default 256)")
-    p.add_argument("--max-body-kb", type=float, default=1024.0,
+                        "(0 disables; default %(default)s)")
+    p.add_argument("--max-body-kb", type=float,
+                   default=config.max_body_bytes / 1024,
                    help="request body cap in KiB before 413 "
-                        "(default 1024)")
-    p.add_argument("--read-timeout", type=float, default=30.0,
+                        "(default %(default)g)")
+    p.add_argument("--read-timeout", type=float,
+                   default=config.read_timeout_s,
                    help="seconds to wait for a request body before "
                         "dropping the connection (<=0 disables; "
-                        "default 30)")
+                        "default %(default)g)")
     p.add_argument("--chaos-inject", default=None, metavar="JSON",
                    help="chaos plan poisoning compute jobs, e.g. "
                         "'{\"mode\": \"crash\", \"jobs\": 2, "

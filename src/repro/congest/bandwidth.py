@@ -175,7 +175,8 @@ class SerializingPolicy(BandwidthPolicy):
         return deliveries
 
 
-_POLICIES = {
+#: The bandwidth policies by name: every value ``policy=`` accepts.
+POLICIES = {
     "strict": StrictPolicy,
     "serialize": SerializingPolicy,
     "unlimited": UnlimitedPolicy,
@@ -185,10 +186,10 @@ _POLICIES = {
 def make_policy(name: str, budget_bits: int, model: SizeModel) -> BandwidthPolicy:
     """Construct a policy by name: ``strict``, ``serialize`` or ``unlimited``."""
     try:
-        cls = _POLICIES[name]
+        cls = POLICIES[name]
     except KeyError:
         raise ValueError(
             f"unknown bandwidth policy {name!r}; "
-            f"expected one of {sorted(_POLICIES)}"
+            f"expected one of {sorted(POLICIES)}"
         )
     return cls(budget_bits, model)

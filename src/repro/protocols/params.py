@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..congest.bandwidth import POLICIES
 from .errors import ParamError
 
 #: Parameter kinds understood by :meth:`ParamSpec.coerce`.
@@ -167,9 +168,10 @@ def split_common(
             f"{protocol}: param 'seed' must be an integer"
         )
     policy = rest.pop("policy", "strict")
-    if not isinstance(policy, str):
+    if not isinstance(policy, str) or policy not in POLICIES:
         raise ParamError(
-            f"{protocol}: param 'policy' must be a string"
+            f"{protocol}: unknown bandwidth policy {policy!r}; "
+            f"expected one of {sorted(POLICIES)}"
         )
     bandwidth = rest.pop("bandwidth_bits", None)
     if bandwidth is not None:

@@ -13,7 +13,7 @@ Layering (transport-independent core first):
 
 * :mod:`~repro.serve.matrix` — query families and distance matrices;
 * :mod:`~repro.serve.cache` — in-memory LRU over the on-disk RunCache;
-* :mod:`~repro.serve.service` — graphs, lookups, protocol runs;
+* :mod:`~repro.serve.service` — graphs, validation, lookups, compute jobs;
 * :mod:`~repro.serve.batch` — the per-tick source batcher;
 * :mod:`~repro.serve.stats` — the ``/stats`` counters;
 * :mod:`~repro.serve.supervisor` — cold computes on the supervised
@@ -48,7 +48,7 @@ from .server import (
     ServerThread,
     run_server,
 )
-from .service import Answer, DistanceService, QueryError
+from .service import DistanceService, QueryError
 from .stats import ServeStats
 from .supervisor import (
     ChaosPlan,
@@ -60,7 +60,6 @@ from .supervisor import (
 )
 
 __all__ = [
-    "Answer",
     "BreakerBoard",
     "BreakerOpen",
     "CHAOS_SCHEMA",

@@ -329,7 +329,7 @@ def run_chaos(options: ChaosOptions) -> Dict[str, Any]:
         chaos=chaos_spec,
     ) as handle:
         outcome = asyncio.run(
-            _drive(handle.server.host, handle.port, options)
+            _drive(handle.server.config.host, handle.port, options)
         )
     checks = _checks(options, outcome)
     latencies = outcome.pop("latencies")

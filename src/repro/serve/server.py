@@ -55,7 +55,7 @@ import sys
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -66,6 +66,7 @@ from .breaker import (
     BreakerBoard,
     BreakerOpen,
 )
+from .cache import DEFAULT_MAX_BYTES
 from .matrix import QueryFamily
 from .service import DistanceService, QueryError
 from .supervisor import (
@@ -226,62 +227,85 @@ def encode_response(
     return head + body
 
 
-class DistanceServer:
-    """The HTTP front end over one :class:`DistanceService`."""
+@dataclass
+class ServerConfig:
+    """Every ``repro serve`` setting, declared once.
 
-    def __init__(
-        self,
-        service: Optional[DistanceService] = None,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        tick_s: float = DEFAULT_TICK_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        stats_path: Optional[str] = None,
-        workers: int = DEFAULT_WORKERS,
-        deadline_s: Optional[float] = DEFAULT_DEADLINE_S,
-        retries: int = DEFAULT_RETRIES,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        chaos: Optional[Mapping[str, Any]] = None,
-        breaker_threshold: int = DEFAULT_THRESHOLD,
-        breaker_reset_s: float = DEFAULT_RESET_S,
-        max_inflight: int = DEFAULT_MAX_INFLIGHT,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        read_timeout_s: Optional[float] = DEFAULT_READ_TIMEOUT_S,
-        log=None,
-    ) -> None:
-        self.service = service if service is not None else DistanceService()
-        self.host = host
-        self._requested_port = port
+    :class:`DistanceServer` builds its service, worker pool, batcher
+    and breakers from it, ``repro serve`` takes its flag defaults from
+    it, and :class:`ServerThread` accepts any field as a keyword.
+    """
+
+    host: str = "127.0.0.1"
+    port: int = 8972
+    #: Graph specs to load before serving.
+    graphs: Tuple[str, ...] = ()
+    cache_dir: Optional[str] = None
+    max_matrix_bytes: int = DEFAULT_MAX_BYTES
+    seed: int = 0
+    policy: str = "strict"
+    #: Execution engine for on-demand runs (``object`` or ``vector``).
+    backend: str = "object"
+    tick_s: float = DEFAULT_TICK_S
+    max_batch: int = DEFAULT_MAX_BATCH
+    stats_path: Optional[str] = None
+    #: Extra graph specs to warm (full APSP matrix) before serving.
+    warm: Tuple[str, ...] = ()
+    #: Supervised compute worker processes (at least 1).
+    workers: int = DEFAULT_WORKERS
+    deadline_s: Optional[float] = DEFAULT_DEADLINE_S
+    retries: int = DEFAULT_RETRIES
+    queue_depth: int = DEFAULT_QUEUE_DEPTH
+    breaker_threshold: int = DEFAULT_THRESHOLD
+    breaker_reset_s: float = DEFAULT_RESET_S
+    max_inflight: int = DEFAULT_MAX_INFLIGHT
+    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
+    read_timeout_s: Optional[float] = DEFAULT_READ_TIMEOUT_S
+    #: Chaos-injection plan (tests / the serve-chaos harness only).
+    chaos: Optional[Dict[str, Any]] = None
+
+
+class DistanceServer:
+    """The HTTP front end, built from one :class:`ServerConfig`.
+
+    Construction validates the simulator settings (a bad ``policy`` or
+    ``backend`` raises :class:`QueryError`) but starts nothing;
+    :meth:`start` does.
+    """
+
+    def __init__(self, config: ServerConfig) -> None:
+        self.config = config
+        self.service = DistanceService(
+            cache_dir=config.cache_dir,
+            max_matrix_bytes=config.max_matrix_bytes,
+            seed=config.seed,
+            policy=config.policy,
+            backend=config.backend,
+        )
         self.port: Optional[int] = None
-        self.stats_path = stats_path
-        self.max_inflight = max(0, int(max_inflight))
-        self.max_body_bytes = max_body_bytes
-        self.read_timeout_s = read_timeout_s
+        self.max_inflight = max(0, int(config.max_inflight))
         self.supervisor = Supervisor(
             self.service,
-            workers=workers,
-            deadline_s=deadline_s,
-            retries=retries,
-            queue_depth=queue_depth,
-            chaos=chaos,
+            workers=config.workers,
+            deadline_s=config.deadline_s,
+            retries=config.retries,
+            queue_depth=config.queue_depth,
+            chaos=config.chaos,
         )
         self.batcher = SourceBatcher(
             self._pool_rows, self._pool_full,
-            tick_s=tick_s, max_batch=max_batch,
+            tick_s=config.tick_s, max_batch=config.max_batch,
         )
         self.breakers = (
             BreakerBoard(
-                threshold=breaker_threshold, reset_s=breaker_reset_s
+                threshold=config.breaker_threshold,
+                reset_s=config.breaker_reset_s,
             )
-            if breaker_threshold > 0 else None
+            if config.breaker_threshold > 0 else None
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._log = log or (lambda msg: print(msg, file=sys.stderr))
         self._stopping = False
         self._active_requests = 0
-        self._idle = asyncio.Event()
-        self._idle.set()
         self._connections: set = set()
         self._shed = 0
         self._protocol_errors = 0
@@ -295,12 +319,22 @@ class DistanceServer:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Start the worker pool, bind, and accept."""
+        """Preload ``graphs``, start the pool, bind, then warm ``warm``.
+
+        The one startup sequence of ``repro serve`` and
+        :class:`ServerThread`.
+        """
+        for spec in self.config.graphs:
+            self.service.load_graph(spec)
         await self.supervisor.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+            self._handle_connection, self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        for spec in self.config.warm:
+            family = self.service.family_for(spec)
+            if self.service.lookup_full(family) is None:
+                await self.batcher.full(family)
 
     async def shutdown(self) -> Dict[str, Any]:
         """Drain-first shutdown; returns a JSON-pure summary.
@@ -315,18 +349,17 @@ class DistanceServer:
             self._server.close()
             await self._server.wait_closed()
         drained = await self.batcher.drain()
-        try:
-            await asyncio.wait_for(self._idle.wait(), DRAIN_GRACE_S)
-            forced = 0
-        except asyncio.TimeoutError:
-            forced = self._active_requests
+        grace_ends = time.monotonic() + DRAIN_GRACE_S
+        while self._active_requests and time.monotonic() < grace_ends:
+            await asyncio.sleep(0.01)
+        forced = self._active_requests
         await self.supervisor.drain()
         await self.supervisor.close()
         for writer in list(self._connections):
             writer.close()
         snapshot = self.service.stats.snapshot()
-        if self.stats_path:
-            with open(self.stats_path, "w", encoding="utf-8") as handle:
+        if self.config.stats_path:
+            with open(self.config.stats_path, "w", encoding="utf-8") as handle:
                 json.dump(snapshot, handle, indent=2, sort_keys=True)
                 handle.write("\n")
         return {
@@ -399,15 +432,6 @@ class DistanceServer:
 
     # -- connection handling -----------------------------------------------
 
-    def _request_started(self) -> None:
-        self._active_requests += 1
-        self._idle.clear()
-
-    def _request_finished(self) -> None:
-        self._active_requests -= 1
-        if self._active_requests == 0:
-            self._idle.set()
-
     def _shed_response(self, request: Request) -> Tuple[int, Any, Dict]:
         self._shed += 1
         retry_s = 1.0
@@ -432,8 +456,8 @@ class DistanceServer:
                 try:
                     request = await read_request(
                         reader,
-                        max_body_bytes=self.max_body_bytes,
-                        read_timeout_s=self.read_timeout_s,
+                        max_body_bytes=self.config.max_body_bytes,
+                        read_timeout_s=self.config.read_timeout_s,
                     )
                 except HttpProtocolError as exc:
                     # Reject explicitly, then drop the connection: the
@@ -457,13 +481,13 @@ class DistanceServer:
                 if shed:
                     status, payload, headers = self._shed_response(request)
                 else:
-                    self._request_started()
+                    self._active_requests += 1
                     try:
                         status, payload, headers = await self._dispatch(
                             request
                         )
                     finally:
-                        self._request_finished()
+                        self._active_requests -= 1
                 elapsed = time.perf_counter() - started
                 self.service.stats.observe_request(
                     request.path, elapsed, ok=status < 400
@@ -541,9 +565,10 @@ class DistanceServer:
         except ComputeFailed as exc:
             return 500, {"error": f"compute failed: {exc}"}, None
         except Exception as exc:  # defensive: a 500 must not kill the loop
-            self._log(
+            print(
                 f"repro-serve: internal error on {request.path}: "
-                f"{exc}\n{traceback.format_exc()}"
+                f"{exc}\n{traceback.format_exc()}",
+                file=sys.stderr,
             )
             return 500, {"error": f"internal error: {exc}"}, None
 
@@ -613,9 +638,8 @@ class DistanceServer:
         family = self._family(request)
         source = self._int_param(request, "source")
         target = self._int_param(request, "target")
-        graph = self.service.load_graph(family.graph_spec)
         for name, node in (("source", source), ("target", target)):
-            self.service._check_node(graph, node, name)
+            self.service.check_node(family, node, name)
         matrix = self.service.matrix(family)
         value = matrix.distance(source, target)
         if value is not None or matrix.has_row(source):
@@ -635,14 +659,8 @@ class DistanceServer:
     ) -> Tuple[int, Any]:
         family = self._family(request)
         node = self._int_param(request, "node")
-        graph = self.service.load_graph(family.graph_spec)
-        self.service._check_node(graph, node, "node")
-        matrix = self.service.matrix(family)
-        if matrix.has_row(node):
-            tier = "memory"
-            self.service.stats.observe_tier(tier)
-        else:
-            tier = await self._ensure_row(family, node)
+        self.service.check_node(family, node, "node")
+        tier = await self._ensure_row(family, node)
         value = self.service.matrix(family).eccentricity(node)
         return 200, {
             "graph": family.graph_spec, "protocol": family.protocol,
@@ -692,80 +710,15 @@ class DistanceServer:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ServerConfig:
-    """Everything ``repro serve`` passes down."""
-
-    host: str = "127.0.0.1"
-    port: int = 8972
-    graphs: Tuple[str, ...] = ()
-    cache_dir: Optional[str] = None
-    max_matrix_bytes: int = 64 * 1024 * 1024
-    seed: int = 0
-    policy: str = "strict"
-    #: Execution engine for on-demand runs (``object`` or ``vector``).
-    backend: str = "object"
-    tick_s: float = DEFAULT_TICK_S
-    max_batch: int = DEFAULT_MAX_BATCH
-    stats_path: Optional[str] = None
-    #: Extra graph specs to warm (full APSP matrix) before serving.
-    warm: Tuple[str, ...] = ()
-    #: Supervised compute worker processes (at least 1).
-    workers: int = DEFAULT_WORKERS
-    deadline_s: Optional[float] = DEFAULT_DEADLINE_S
-    retries: int = DEFAULT_RETRIES
-    queue_depth: int = DEFAULT_QUEUE_DEPTH
-    breaker_threshold: int = DEFAULT_THRESHOLD
-    breaker_reset_s: float = DEFAULT_RESET_S
-    max_inflight: int = DEFAULT_MAX_INFLIGHT
-    max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
-    read_timeout_s: Optional[float] = DEFAULT_READ_TIMEOUT_S
-    #: Chaos-injection plan (tests / the serve-chaos harness only).
-    chaos: Optional[Dict[str, Any]] = None
-
-
-def _server_kwargs(config: ServerConfig) -> Dict[str, Any]:
-    return dict(
-        host=config.host,
-        port=config.port,
-        tick_s=config.tick_s,
-        max_batch=config.max_batch,
-        stats_path=config.stats_path,
-        workers=config.workers,
-        deadline_s=config.deadline_s,
-        retries=config.retries,
-        queue_depth=config.queue_depth,
-        breaker_threshold=config.breaker_threshold,
-        breaker_reset_s=config.breaker_reset_s,
-        max_inflight=config.max_inflight,
-        max_body_bytes=config.max_body_bytes,
-        read_timeout_s=config.read_timeout_s,
-        chaos=config.chaos,
-    )
-
-
 async def _serve_main(config: ServerConfig) -> int:
-    service = DistanceService(
-        cache_dir=config.cache_dir,
-        max_matrix_bytes=config.max_matrix_bytes,
-        seed=config.seed,
-        policy=config.policy,
-        backend=config.backend,
-    )
-    for spec in config.graphs:
-        service.load_graph(spec)
-    server = DistanceServer(service, **_server_kwargs(config))
+    server = DistanceServer(config)
     await server.start()
-    for spec in config.warm:
-        family = service.family_for(spec)
-        if service.lookup_full(family) is None:
-            await server.batcher.full(family)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGINT, signal.SIGTERM):
         loop.add_signal_handler(signum, stop.set)
     print(
-        f"repro-serve: ready on http://{server.host}:{server.port} "
+        f"repro-serve: ready on http://{config.host}:{server.port} "
         f"({len(config.graphs)} graph(s) preloaded, "
         f"{config.workers} worker(s))",
         flush=True,
@@ -791,38 +744,19 @@ def run_server(config: ServerConfig) -> int:
 class ServerThread:
     """A server on a background thread (tests, docs, self-benchmarks).
 
-    Context-manager: binds an ephemeral port by default, exposes
-    ``.port`` and ``.service``, and drain-shuts-down on exit::
+    Takes any :class:`ServerConfig` field as a keyword (``graphs``,
+    ``warm``, ``workers``, ``deadline_s``, ``chaos``, …); ``port``
+    defaults to 0, an ephemeral port.  Context manager: exposes
+    ``.port``, ``.url``, ``.server`` and ``.service``, and
+    drain-shuts-down on exit::
 
         with ServerThread(graphs=["path:16"]) as handle:
-            urllib.request.urlopen(
-                f"http://127.0.0.1:{handle.port}/healthz")
-
-    Extra keyword arguments (``workers``, ``deadline_s``, ``chaos``,
-    ``max_inflight``, …) pass through to :class:`DistanceServer`, so
-    tests can shape the worker pool and the admission limits.
+            urllib.request.urlopen(f"{handle.url}/healthz")
     """
 
-    def __init__(
-        self,
-        service: Optional[DistanceService] = None,
-        *,
-        graphs: Tuple[str, ...] = (),
-        host: str = "127.0.0.1",
-        port: int = 0,
-        tick_s: float = DEFAULT_TICK_S,
-        max_batch: int = DEFAULT_MAX_BATCH,
-        stats_path: Optional[str] = None,
-        **server_kwargs: Any,
-    ) -> None:
-        self.service = service if service is not None else DistanceService()
-        for spec in graphs:
-            self.service.load_graph(spec)
-        self._kwargs = dict(
-            host=host, port=port, tick_s=tick_s, max_batch=max_batch,
-            stats_path=stats_path, **server_kwargs,
-        )
-        self.server: Optional[DistanceServer] = None
+    def __init__(self, **fields: Any) -> None:
+        self.server = DistanceServer(ServerConfig(**{"port": 0, **fields}))
+        self.service = self.server.service
         self.port: Optional[int] = None
         self.shutdown_summary: Optional[Dict[str, Any]] = None
         self._ready = threading.Event()
@@ -853,7 +787,6 @@ class ServerThread:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self.server = DistanceServer(self.service, **self._kwargs)
         await self.server.start()
         self.port = self.server.port
         self._stop = asyncio.Event()
@@ -870,7 +803,7 @@ class ServerThread:
     @property
     def url(self) -> str:
         """Base URL of the bound server (valid after :meth:`start`)."""
-        return f"http://{self._kwargs['host']}:{self.port}"
+        return f"http://{self.server.config.host}:{self.port}"
 
     def __enter__(self) -> "ServerThread":
         return self.start()

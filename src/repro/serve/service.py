@@ -3,18 +3,16 @@
 :class:`DistanceService` owns the loaded graphs, the two-tier
 :class:`~repro.serve.cache.MatrixCache`, the serve counters, and the
 merging of protocol results into that cache.  It is deliberately
-synchronous: the HTTP layer (:mod:`repro.serve.server`) calls the fast
-lookup paths from the event loop and routes cold misses through the
-asyncio batcher (:mod:`repro.serve.batch`) into the supervised worker
-pool (:mod:`repro.serve.supervisor`).  Tests and the docs example can
-drive the service directly without any server: :meth:`compute_rows`
-and :meth:`compute_full` run in-process.
+synchronous and never runs a protocol itself: the HTTP routes
+(:mod:`repro.serve.server`) call its validation and cache lookups from
+the event loop and route cold misses through the asyncio batcher
+(:mod:`repro.serve.batch`) into the supervised worker pool
+(:mod:`repro.serve.supervisor`).
 
 There is one compute path.  A cold miss becomes a pickle-pure *job*
 (:func:`rows_job`, :func:`full_job`); :func:`run_job` runs it against a
-graph — in-process here, in a worker process under the pool — and
-:meth:`DistanceService.merge` folds the result into the stats and the
-cache, always in the calling (server) process.
+graph in a worker process, and :meth:`DistanceService.merge` folds the
+result into the stats and the cache in the server process.
 
 Two query backends exist:
 
@@ -25,9 +23,6 @@ Two query backends exist:
   Diameter queries need every row and run Algorithm 1 once.
 * ``weighted-apsp`` — the subdivision reduction.  It has no partial
   engine, so any miss computes (and memoizes) the full matrix.
-
-Every simulation is wrapped in a ``repro.obs`` span (``serve_run``)
-when a tracer is active, stamped with the run's round extent.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
-from .. import obs, protocols
+from .. import protocols
 from ..congest.errors import GraphError
 from ..graphs.graph import Graph
 from ..graphs.specs import GraphSpecError, parse_graph
@@ -81,14 +76,6 @@ BACKENDS: Dict[str, _Backend] = {
         param_names=frozenset({"max_weight", "weight_seed"}),
     ),
 }
-
-
-@dataclass(frozen=True)
-class Answer:
-    """One answered query: the value and the cache tier that had it."""
-
-    value: Optional[int]
-    tier: str
 
 
 def sequential_rounds_estimate(batch_size: int, batch_rounds: int) -> int:
@@ -139,30 +126,19 @@ def run_job(job: Mapping[str, Any], graph: Graph) -> Dict[str, Any]:
     kind = job["kind"]
     backend = BACKENDS[family["protocol"]]
     engine = family.get("backend", "object")
-    attrs: Dict[str, Any] = {}
     if kind == "rows":
         protocol, params = backend.row_protocol, {"sources": job["sources"]}
-        attrs["batch_size"] = len(job["sources"])
     elif kind == "full":
         protocol, params = backend.full_protocol, dict(family["params"])
     elif kind == "approx-diameter":
         protocol, params, engine = "two-vs-four", {}, "object"
     else:
         raise ValueError(f"unknown job kind {kind!r}")
-    tracer = obs.active()
-    span_id = None
-    if tracer is not None:
-        span_id = tracer.span_begin(
-            "serve_run", round_no=0, protocol=protocol,
-            graph=family["graph"], **attrs,
-        )
     outcome = protocols.run(
         protocol, graph, params,
         seed=family["seed"], policy=family["policy"], backend=engine,
     )
     rounds = outcome.metrics.rounds
-    if tracer is not None:
-        tracer.span_end(span_id, round_no=rounds, rounds=rounds)
     if kind == "rows":
         rows = rows_from_ssp_summary(outcome.summary, job["sources"])
     elif kind == "full":
@@ -172,37 +148,38 @@ def run_job(job: Mapping[str, Any], graph: Graph) -> Dict[str, Any]:
     return {"rows": rows, "rounds": rounds}
 
 
+def _check_params(protocol: str, params: Mapping[str, Any]) -> None:
+    """The registry's own parameter check; a rejection is a 400."""
+    try:
+        protocols.get(protocol).check_params(params)
+    except protocols.ParamError as exc:
+        raise QueryError(str(exc))
+
+
 class DistanceService:
-    """Graphs loaded once, matrices memoized, queries at memory speed."""
+    """Graphs loaded once, queries validated, matrices memoized."""
 
     def __init__(
         self,
         *,
         cache_dir: Optional[str] = None,
-        run_cache: Optional[RunCache] = None,
         max_matrix_bytes: int = DEFAULT_MAX_BYTES,
         seed: int = 0,
         policy: str = "strict",
         backend: str = "object",
     ) -> None:
-        if run_cache is None and cache_dir is not None:
-            run_cache = RunCache(cache_dir)
-        if backend == "vector":
-            from ..vector import HAS_NUMPY, NUMPY_HINT
-
-            if not HAS_NUMPY:
-                raise QueryError(NUMPY_HINT)
-        elif backend != "object":
-            raise QueryError(
-                f"unknown backend {backend!r}; "
-                f"expected 'object' or 'vector'"
-            )
+        # A bad seed, policy or backend would fail every cold query;
+        # reject it here, before a server built on it reports ready.
+        _check_params(
+            "apsp", {"seed": seed, "policy": policy, "backend": backend}
+        )
         self.seed = seed
         self.policy = policy
         self.backend = backend
         self.stats = ServeStats()
         self.cache = MatrixCache(
-            max_bytes=max_matrix_bytes, run_cache=run_cache
+            max_bytes=max_matrix_bytes,
+            run_cache=None if cache_dir is None else RunCache(cache_dir),
         )
         self._graphs: Dict[str, Graph] = {}
         #: Guards cache/graph structures against callers on other
@@ -234,19 +211,21 @@ class DistanceService:
                 for spec, g in sorted(self._graphs.items())
             ]
 
-    # -- families ----------------------------------------------------------
+    # -- validation --------------------------------------------------------
 
     def family_for(
         self,
         graph_spec: str,
         protocol: str = "apsp",
         params: Optional[Mapping[str, Any]] = None,
-        *,
-        seed: Optional[int] = None,
-        policy: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> QueryFamily:
-        """Validate query axes into a :class:`QueryFamily`."""
+        """Validate query axes into a :class:`QueryFamily`.
+
+        The params go through the registry's schema check with the
+        service's seed, policy and backend, so a malformed one is a
+        400 here rather than a failed compute that counts against the
+        family's circuit breaker.
+        """
         serve_backend = BACKENDS.get(protocol)
         if serve_backend is None:
             raise QueryError(
@@ -261,24 +240,19 @@ class DistanceService:
                 f"{sorted(unknown)} (allowed: "
                 f"{sorted(serve_backend.param_names) or 'none'})"
             )
-        engine = self.backend if backend is None else backend
-        if engine == "vector":
-            capable = protocols.get(serve_backend.full_protocol)
-            if "vector" not in capable.capabilities:
-                raise QueryError(
-                    f"protocol {protocol!r} cannot run on the vector "
-                    f"backend; use backend 'object'"
-                )
+        _check_params(serve_backend.full_protocol, {
+            **params,
+            "seed": self.seed, "policy": self.policy,
+            "backend": self.backend,
+        })
         return QueryFamily.make(
-            graph_spec,
-            protocol,
-            params,
-            seed=self.seed if seed is None else seed,
-            policy=self.policy if policy is None else policy,
-            backend=engine,
+            graph_spec, protocol, params,
+            seed=self.seed, policy=self.policy, backend=self.backend,
         )
 
-    def _check_node(self, graph: Graph, node: int, what: str) -> None:
+    def check_node(self, family: QueryFamily, node: int, what: str) -> None:
+        """Reject ``node`` unless it is a node of ``family``'s graph."""
+        graph = self.load_graph(family.graph_spec)
         if not graph.has_node(node):
             raise QueryError(
                 f"{what} {node} is not a node of the graph "
@@ -305,7 +279,7 @@ class DistanceService:
         with self._lock:
             return self.cache.matrix(family, graph.n)
 
-    # -- computation ---------------------------------------------------------
+    # -- merging computed results ------------------------------------------
 
     def merge(
         self,
@@ -330,86 +304,3 @@ class DistanceService:
             return self.cache.store_rows(
                 family, graph.n, result["rows"], rounds=rounds
             )
-
-    def compute_rows(
-        self, family: QueryFamily, sources: List[int]
-    ) -> DistanceMatrix:
-        """Run one batched row computation in-process and merge it."""
-        job = rows_job(family, sources)
-        graph = self.load_graph(family.graph_spec)
-        return self.merge(family, job, run_job(job, graph))
-
-    def compute_full(self, family: QueryFamily) -> DistanceMatrix:
-        """Run the full-matrix protocol in-process and memoize it."""
-        job = full_job(family)
-        graph = self.load_graph(family.graph_spec)
-        return self.merge(family, job, run_job(job, graph))
-
-    # -- ensure + answer (the synchronous query path) ----------------------
-
-    def ensure_row(self, family: QueryFamily, source: int) -> str:
-        """Make ``source``'s row available; returns the serving tier."""
-        tier = self.lookup_row(family, source)
-        if tier is None:
-            self.compute_rows(family, [source])
-            tier = "computed"
-        self.stats.observe_tier(tier)
-        return tier
-
-    def ensure_full(self, family: QueryFamily) -> str:
-        """Make the complete matrix available; returns the tier."""
-        tier = self.lookup_full(family)
-        if tier is None:
-            self.compute_full(family)
-            tier = "computed"
-        self.stats.observe_tier(tier)
-        return tier
-
-    def distance(
-        self,
-        graph_spec: str,
-        source: int,
-        target: int,
-        *,
-        protocol: str = "apsp",
-        params: Optional[Mapping[str, Any]] = None,
-    ) -> Answer:
-        """Point distance ``d(source, target)``."""
-        family = self.family_for(graph_spec, protocol, params)
-        graph = self.load_graph(graph_spec)
-        self._check_node(graph, source, "source")
-        self._check_node(graph, target, "target")
-        matrix = self.matrix(family)
-        value = matrix.distance(source, target)
-        if value is not None or matrix.has_row(source):
-            self.stats.observe_tier("memory")
-            return Answer(value, "memory")
-        tier = self.ensure_row(family, source)
-        return Answer(self.matrix(family).distance(source, target), tier)
-
-    def eccentricity(
-        self,
-        graph_spec: str,
-        node: int,
-        *,
-        protocol: str = "apsp",
-        params: Optional[Mapping[str, Any]] = None,
-    ) -> Answer:
-        """Eccentricity of ``node`` (max entry of its own row)."""
-        family = self.family_for(graph_spec, protocol, params)
-        graph = self.load_graph(graph_spec)
-        self._check_node(graph, node, "node")
-        tier = self.ensure_row(family, node)
-        return Answer(self.matrix(family).eccentricity(node), tier)
-
-    def diameter(
-        self,
-        graph_spec: str,
-        *,
-        protocol: str = "apsp",
-        params: Optional[Mapping[str, Any]] = None,
-    ) -> Answer:
-        """Graph diameter (needs the complete matrix)."""
-        family = self.family_for(graph_spec, protocol, params)
-        tier = self.ensure_full(family)
-        return Answer(self.matrix(family).diameter(), tier)

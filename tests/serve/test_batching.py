@@ -15,6 +15,7 @@ from repro.graphs import bfs_distances
 from repro.graphs.specs import parse_graph
 from repro.harness.hashing import canonical_json
 from repro.serve import DistanceService, SourceBatcher, Supervisor
+from repro.serve.service import rows_job, run_job
 
 GRAPH = "er:24:p=0.15:seed=3"
 
@@ -49,11 +50,13 @@ def batch_service(sources, *, tick_s=0.05, max_batch=64):
 
 def singleton_services(sources):
     """One fresh service per source, each running its own S-SP."""
+    graph = parse_graph(GRAPH)
     out = []
     for source in sources:
         service = DistanceService()
         family = service.family_for(GRAPH)
-        service.compute_rows(family, [source])
+        job = rows_job(family, [source])
+        service.merge(family, job, run_job(job, graph))
         out.append((service, family))
     return out
 

@@ -11,7 +11,7 @@ import pytest
 from repro import protocols
 from repro.graphs import analysis
 from repro.graphs.specs import parse_graph
-from repro.serve import DistanceService, ServerThread
+from repro.serve import ServerThread
 
 
 def get(url, path):
@@ -107,8 +107,7 @@ def test_batched_server_side_coalescing():
     """Concurrent cold HTTP queries coalesce into few S-SP runs."""
     import concurrent.futures
 
-    service = DistanceService()
-    with ServerThread(service, graphs=("er:32:p=0.12:seed=5",),
+    with ServerThread(graphs=("er:32:p=0.12:seed=5",),
                       tick_s=0.05) as handle:
         paths = [
             f"/distance?graph=er:32:p=0.12:seed=5&source={s}&target=1"
@@ -123,7 +122,7 @@ def test_batched_server_side_coalescing():
             source = int(path.split("source=")[1].split("&")[0])
             assert result["distance"] == \
                 analysis.bfs_distances(graph, source)[1]
-        snap = service.stats.snapshot()["batches"]
+        snap = handle.service.stats.snapshot()["batches"]
         assert snap["sources"] == 10
         # Coalescing happened: far fewer runs than queries.
         assert snap["count"] < 10

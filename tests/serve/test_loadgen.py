@@ -6,7 +6,6 @@ import json
 
 from repro.serve import (
     LOADGEN_SCHEMA,
-    DistanceService,
     LoadgenOptions,
     ServerThread,
     render_summary,
@@ -16,8 +15,7 @@ from repro.serve import (
 
 
 def test_loadgen_artifact_against_live_server(tmp_path):
-    service = DistanceService()
-    with ServerThread(service) as handle:
+    with ServerThread() as handle:
         report = run_loadgen(LoadgenOptions(
             url=handle.url, graph="er:24:p=0.2:seed=1",
             clients=4, duration_s=0.8, warm=True, mode="mixed",

@@ -281,6 +281,24 @@ def test_eccentricity_deadline_is_503_with_retry_after():
 # -- circuit breaker: trip on repeated failures, recover half-open -----
 
 
+def test_malformed_weighted_param_is_400_and_spares_the_breaker(server):
+    # Rejected by the registry's param check before any compute, so
+    # even more requests than the breaker threshold (3) open nothing.
+    path = ("/distance?graph=cycle:12&source=1&target=2"
+            "&protocol=weighted-apsp&max_weight={}")
+    for _ in range(4):
+        status, payload = get_status(server.url, path.format(0))
+        assert status == 400
+        assert "max_weight" in payload["error"]
+    status, payload = get_status(server.url,
+                                 path.format(3) + "&weight_seed=1")
+    assert status == 200
+    _s, stats = get_status(server.url, "/stats")
+    breaker = stats["breakers"]["cycle:12|weighted-apsp"]
+    assert breaker["state"] == "closed"
+    assert breaker["opened_count"] == 0
+
+
 def test_breaker_trips_and_recovers_over_http():
     with ServerThread(
         workers=1,

@@ -1,4 +1,7 @@
-"""Graceful-shutdown regression tests (real subprocess, real signals)."""
+"""``repro serve`` start-up and graceful-shutdown regression tests.
+
+Real subprocess, real signals.
+"""
 
 from __future__ import annotations
 
@@ -15,15 +18,19 @@ REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 SRC = os.path.join(REPO, "src")
 
 
-def start_server(tmp_path, *extra):
+def serve_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def start_server(tmp_path, *extra):
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--port", "0", "--graph", "cycle:16",
          "--stats-out", str(tmp_path / "stats.json"), *extra],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=env, text=True,
+        env=serve_env(), text=True,
     )
     ready = proc.stdout.readline()
     assert "repro-serve: ready on http://" in ready, ready
@@ -78,3 +85,23 @@ def test_ready_line_parses_ephemeral_port(tmp_path):
             proc.kill()
             proc.communicate()
     assert proc.returncode == 0
+
+
+def test_unknown_policy_exits_1_before_ready():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--policy", "bogus"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=serve_env(), text=True,
+    )
+    try:
+        assert "ready" not in proc.stdout.readline()
+        _stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            # A server that did start drains its pool on SIGTERM;
+            # SIGKILL would orphan workers holding the output pipes.
+            proc.terminate()
+            proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert "unknown bandwidth policy 'bogus'" in stderr

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import repro
-from repro import congest, core, graphs, harness, protocols
+from repro import congest, core, graphs, harness, protocols, serve
 
 
 def test_version():
@@ -20,7 +20,7 @@ def test_quickstart_from_docstring():
 
 
 def test_all_exports_resolve():
-    for module in (congest, core, graphs, harness, protocols):
+    for module in (congest, core, graphs, harness, protocols, serve):
         for name in module.__all__:
             assert hasattr(module, name), f"{module.__name__}.{name}"
 

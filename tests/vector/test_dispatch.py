@@ -156,18 +156,15 @@ class TestServeKeys:
 
     def test_service_serves_identical_distances_on_vector(self):
         pytest.importorskip("numpy")
-        from repro.serve.service import DistanceService
+        from repro.serve.service import DistanceService, full_job, run_job
 
-        obj = DistanceService()
-        vec = DistanceService(backend="vector")
-        for service in (obj, vec):
-            service.load_graph(GRAPH)
-        fam_obj = obj.family_for(GRAPH)
-        fam_vec = vec.family_for(GRAPH)
+        graph = parse_graph(GRAPH)
+        fam_obj = DistanceService().family_for(GRAPH)
+        fam_vec = DistanceService(backend="vector").family_for(GRAPH)
         assert fam_vec.backend == "vector"
-        m_obj = obj.compute_full(fam_obj)
-        m_vec = vec.compute_full(fam_vec)
-        assert m_vec.rows == m_obj.rows
+        rows_obj = run_job(full_job(fam_obj), graph)["rows"]
+        rows_vec = run_job(full_job(fam_vec), graph)["rows"]
+        assert rows_vec == rows_obj
 
 
 class TestBenchWorkloads:
