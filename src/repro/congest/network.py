@@ -36,8 +36,8 @@ from .node import NodeAlgorithm, NodeContext, NodeState, PublicRandomness
 AlgorithmFactory = Callable[[NodeContext], NodeAlgorithm]
 
 #: Optional callable invoked with every newly constructed network — the
-#: seam the observability layer (:mod:`repro.obs`) uses to auto-attach
-#: its recorders to networks created deep inside ``repro.core`` entry
+#: seam the observability layer (:mod:`repro.obs`) uses to wrap the
+#: delivery step of networks created deep inside ``repro.core`` entry
 #: points.  ``None`` (the default) costs one global read per *network
 #: construction*, never per round, so the disabled path stays free.
 _network_observer: Optional[Callable[["Network"], None]] = None

@@ -3,7 +3,8 @@
 A span/event API for algorithm code, capture sessions that turn runs
 into :class:`~repro.obs.session.Trace` objects, checkable paper
 invariants, and exporters (``repro-trace/1`` JSONL, Chrome
-``trace_event``, ASCII heatmaps).  See ``docs/observability.md``.
+``trace_event``, ASCII heatmaps and timelines).  See
+``docs/observability.md``.
 
 Importing this package (or any instrumented module) costs nothing at
 runtime: tracing is off until a :class:`Tracer` is installed, and the
@@ -13,6 +14,7 @@ disabled path is a single module-global read per protocol phase.
 from .export import (
     render_heatmap,
     render_summary,
+    render_timeline,
     to_chrome,
     to_jsonl,
     write_chrome,
@@ -69,6 +71,7 @@ __all__ = [
     "percentile",
     "render_heatmap",
     "render_summary",
+    "render_timeline",
     "span",
     "to_chrome",
     "to_jsonl",

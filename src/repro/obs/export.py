@@ -1,6 +1,6 @@
-"""Trace exporters: JSONL streams, Chrome ``trace_event``, ASCII heatmaps.
+"""Trace exporters: JSONL streams, Chrome ``trace_event``, ASCII renderings.
 
-Three renderings of one :class:`~repro.obs.session.Trace`:
+Four renderings of one :class:`~repro.obs.session.Trace`:
 
 * **JSONL** (:func:`to_jsonl` / :func:`write_jsonl`) — the canonical
   ``repro-trace/1`` stream documented in ``docs/observability.md``: a
@@ -14,13 +14,16 @@ Three renderings of one :class:`~repro.obs.session.Trace`:
 * **Summary** (:func:`render_summary`) — a terminal report: run costs,
   message census, invariant verdicts, and the round × edge utilization
   heatmap (:func:`render_heatmap`).
+* **Timeline** (:func:`render_timeline`) — one line per round listing
+  each delivery as ``sender->receiver:Kind``, for eyeballing message
+  order on small runs.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .invariants import check
 from .session import SCHEMA, Trace
@@ -230,8 +233,39 @@ def write_chrome(trace: Trace, path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# ASCII heatmap + summary
+# ASCII timeline, heatmap + summary
 # ---------------------------------------------------------------------------
+
+
+def render_timeline(
+    trace: Trace,
+    *,
+    kinds: Optional[Set[str]] = None,
+    max_rounds: Optional[int] = None,
+) -> str:
+    """A compact ASCII timeline of deliveries: one line per round.
+
+    Each line lists that round's messages in delivery order as
+    ``sender->receiver:Kind``, keeping only ``kinds`` when given; rounds
+    with nothing to show are skipped.  Rounds after ``max_rounds``
+    collapse into one ``... (N more rounds)`` line, counted up to the
+    last round with a delivery.
+    """
+    per_round = trace.per_round()
+    last_round = max(per_round, default=0)
+    lines = []
+    for round_no, records in per_round.items():
+        if max_rounds is not None and round_no > max_rounds:
+            lines.append(f"... ({last_round - max_rounds} more rounds)")
+            break
+        shown = [
+            f"{r.sender}->{r.receiver}:{r.kind}"
+            for r in records
+            if kinds is None or r.kind in kinds
+        ]
+        if shown:
+            lines.append(f"r{round_no:>4}  " + "  ".join(shown))
+    return "\n".join(lines)
 
 
 def render_heatmap(

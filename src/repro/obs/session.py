@@ -15,14 +15,14 @@ It installs two hooks for the duration of the ``with`` body:
    span/event instrumentation inside :mod:`repro.core` starts emitting;
 2. a network-construction observer
    (:func:`repro.congest.network.set_network_observer`), so every
-   :class:`~repro.congest.network.Network` built inside the body gets a
-   :class:`~repro.congest.trace.TraceRecorder` attached — message-level
-   capture with zero changes to the entry points.
+   :class:`~repro.congest.network.Network` built inside the body —
+   by a ``repro.core`` entry point or by hand — has its delivery step
+   wrapped: message-level capture with zero changes to the entry points.
 
 Both hooks are restored on exit (previous values, so captures nest).
-The recorder wraps that one network's delivery step, so a traced run
-executes the same delivery code as an untraced one; untraced networks
-are untouched.
+The wrapper shadows ``Network._deliver`` on that one instance and only
+reads its result, so a traced run executes the same delivery code as an
+untraced one; untraced networks are untouched.
 
 The output is a :class:`Trace`: message records (round, edge, kind,
 bits, payload), the span/event stream, per-round aggregates, queue
@@ -40,12 +40,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..congest import network as network_mod
+from ..congest.message import Message
 from ..congest.network import Network
-from ..congest.trace import TraceRecorder
 from . import tracer as tracer_mod
 from .tracer import ObsRecord, SpanRecord, Tracer
 
 DirectedEdge = Tuple[int, int]
+
+#: One delivered message as the hook records it:
+#: ``(round, sender, receiver, message)``.
+Delivery = Tuple[int, int, int, Message]
+
+#: round → directed edge → messages still queued after that round.
+QueueDepths = Dict[int, Dict[DirectedEdge, int]]
 
 #: Trace stream schema identifier; bump when record shapes change.
 SCHEMA = "repro-trace/1"
@@ -92,7 +99,7 @@ class Trace:
     spans: List[SpanRecord]
     #: round → directed edge → queued (undelivered) messages; only
     #: populated under backlogging (serializing) policies.
-    queue_depths: Dict[int, Dict[DirectedEdge, int]]
+    queue_depths: QueueDepths
     label: Optional[str] = None
 
     # -- derived views -----------------------------------------------------
@@ -188,12 +195,46 @@ class CaptureSession:
 
     def __init__(self, tracer: Tracer) -> None:
         self.tracer = tracer
-        self._captures: List[Tuple[Network, TraceRecorder]] = []
+        #: Per captured network: its deliveries and its queue depths.
+        self._captures: List[Tuple[Network, List[Delivery], QueueDepths]] = []
 
     # -- the network-construction hook -------------------------------------
 
     def _observe(self, network: Network) -> None:
-        self._captures.append((network, TraceRecorder.attach(network)))
+        """Wrap ``network``'s delivery so every delivered message is logged.
+
+        The wrapper reads what ``Network._deliver`` returns: the messages
+        that actually reach an inbox, after bandwidth policing, backlog
+        draining and fault injection, in ascending ``(sender, receiver)``
+        order per round.  Under a backlogging policy it also records the
+        queue depths left after each round's delivery.
+        """
+        deliveries: List[Delivery] = []
+        queue_depths: QueueDepths = {}
+        deliver = network._deliver
+
+        def traced(staged):
+            inbox_map = deliver(staged)
+            round_no = network.round_no
+            delivered = sorted(
+                (sender, receiver, messages)
+                for receiver, by_sender in inbox_map.items()
+                for sender, messages in by_sender.items()
+            )
+            for sender, receiver, messages in delivered:
+                for message in messages:
+                    deliveries.append((round_no, sender, receiver, message))
+            queues = getattr(network.policy, "_queues", None)
+            if queues:
+                depths = {
+                    edge: len(queue) for edge, queue in queues.items() if queue
+                }
+                if depths:
+                    queue_depths[round_no] = depths
+            return inbox_map
+
+        network._deliver = traced  # type: ignore[method-assign]
+        self._captures.append((network, deliveries, queue_depths))
 
     # -- results -----------------------------------------------------------
 
@@ -211,18 +252,18 @@ class CaptureSession:
                 "run a repro.core entry point (or build a Network) "
                 "within the `with obs.capture()` body"
             )
-        network, recorder = self._captures[index]
+        network, deliveries, queue_depths = self._captures[index]
         sizeof = network.size_model.size_bits
         messages = [
             MessageRecord(
-                round_no=event.round_no,
-                sender=event.sender,
-                receiver=event.receiver,
-                kind=event.kind,
-                bits=sizeof(event.message),
-                fields=dataclasses.asdict(event.message),
+                round_no=round_no,
+                sender=sender,
+                receiver=receiver,
+                kind=type(message).__name__,
+                bits=sizeof(message),
+                fields=dataclasses.asdict(message),
             )
-            for event in recorder.events
+            for round_no, sender, receiver, message in deliveries
         ]
         final_round = network.round_no
         return Trace(
@@ -233,7 +274,7 @@ class CaptureSession:
             messages=messages,
             events=self.tracer.events(),
             spans=self.tracer.finished_spans(final_round=final_round),
-            queue_depths=recorder.queue_depths,
+            queue_depths=queue_depths,
             label=label,
         )
 

@@ -32,16 +32,16 @@ the final ``/stats`` snapshot) is written as a
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 import signal
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..obs import percentile
-from .loadgen import http_get
+# ``write_artifact`` is re-exported: the chaos artifact is written
+# exactly like the loadgen one.
+from .loadgen import _http_get_once, http_get, write_artifact  # noqa: F401
 from .server import ServerThread
 
 #: Artifact schema identifier; bump when the shape changes.
@@ -157,14 +157,6 @@ async def _client(
             writer.close()
 
 
-async def _get_json(host: str, port: int, path: str):
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        return await http_get(reader, writer, host, path)
-    finally:
-        writer.close()
-
-
 async def _killer(
     host: str,
     port: int,
@@ -174,7 +166,7 @@ async def _killer(
     """SIGKILL one worker per round; watch ``/readyz`` round-trip."""
     await asyncio.sleep(options.kill_after_s)
     for round_no in range(options.kills):
-        _status, stats = await _get_json(host, port, "/stats")
+        _status, stats = await _http_get_once(host, port, "/stats")
         pids = (stats.get("supervisor") or {}).get("pids") or []
         if not pids:
             record.append({"round": round_no, "killed": None,
@@ -189,7 +181,7 @@ async def _killer(
         saw_not_ready = False
         recovered_s = None
         while time.monotonic() - killed_at < 10.0:
-            status, _payload = await _get_json(host, port, "/readyz")
+            status, _payload = await _http_get_once(host, port, "/readyz")
             if status != 200:
                 saw_not_ready = True
             elif saw_not_ready:
@@ -220,8 +212,8 @@ async def _drive(
             asyncio.ensure_future(_killer(host, port, options, kills))
         )
     await asyncio.gather(*tasks)
-    ready_status, ready_payload = await _get_json(host, port, "/readyz")
-    _s, stats = await _get_json(host, port, "/stats")
+    ready_status, ready_payload = await _http_get_once(host, port, "/readyz")
+    _s, stats = await _http_get_once(host, port, "/stats")
     return {
         "statuses": dict(sorted(state.statuses.items())),
         "latencies": state.latencies,
@@ -358,17 +350,6 @@ def run_chaos(options: ChaosOptions) -> Dict[str, Any]:
         "checks": checks,
         "ok": all(check["ok"] for check in checks),
     }
-
-
-def write_artifact(report: Dict[str, Any], path: str) -> None:
-    """Write the artifact as pretty-printed JSON (parents created)."""
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def render_summary(report: Dict[str, Any]) -> str:

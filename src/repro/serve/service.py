@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
 from .. import protocols
 from ..congest.errors import GraphError
+from ..core.engine import validate_apsp_input
 from ..graphs.graph import Graph
 from ..graphs.specs import GraphSpecError, parse_graph
 from ..harness.cache import RunCache
@@ -190,15 +191,17 @@ class DistanceService:
     # -- graphs ------------------------------------------------------------
 
     def load_graph(self, spec: str) -> Graph:
-        """Load (once) and return the graph named by ``spec``."""
+        """Load (once), validate and return the graph named by ``spec``."""
         with self._lock:
             graph = self._graphs.get(spec)
             if graph is None:
                 try:
                     graph = parse_graph(spec)
+                    validate_apsp_input(graph)
                 except (GraphSpecError, GraphError, OSError) as exc:
                     # GraphError/OSError cover bad or missing file:
-                    # specs — a client error, not a server fault.
+                    # specs and graphs no protocol can run on (no node
+                    # 1, disconnected) — client errors, not server faults.
                     raise QueryError(str(exc))
                 self._graphs[spec] = graph
             return graph

@@ -2,9 +2,10 @@
 
 The golden fixtures pin metrics and results, but not the per-edge
 message order or the order of span/event records.  These digests pin
-both: each is the sha256 of a run's ``repro-trace/1`` JSONL export,
-recorded before the engine fixed inbox order at delivery and before
-``apsp_phase`` read its inbox in a single pass.
+both: each is the sha256 of a run's ``repro-trace/1`` JSONL export.
+The fault-free ones were recorded before the engine fixed inbox order
+at delivery and before ``apsp_phase`` read its inbox in a single pass;
+the faulty one before the delivery hook moved into ``obs.capture``.
 """
 
 import hashlib
@@ -32,6 +33,13 @@ CASES = {
     "ssp": (
         lambda: core.run_ssp(parse_graph("er:24:p=0.15:seed=2"), [1, 4, 9]),
         "fd8da58b56c87ed934339d741914844e93228f33721965c2a4cf88674adb1e7a",
+    ),
+    # 198 messages delivered, 2 dropped: pins that the trace lists only
+    # delivered messages, in the delivery hook's order.
+    "apsp-faulty": (
+        lambda: core.run_apsp(parse_graph("er:20:p=0.2:seed=5"), seed=0,
+                              faults={"drop_rate": 0.02, "seed": 7}),
+        "2897911ae7e39aa2433e5493cbd38c04525d066576cb58e6dc1b2b0d3bd26577",
     ),
 }
 

@@ -156,6 +156,37 @@ def test_graphs_post_unreadable_file_is_400(server, tmp_path):
     assert payload["error"]
 
 
+@pytest.mark.parametrize("edges,expected", [
+    ("1 2\n3 4\n", "disconnected"),
+    ("2 3\n3 4\n", "node with ID 1"),
+], ids=["disconnected", "no-node-1"])
+def test_graph_no_protocol_can_run_is_400_and_spares_the_pool(
+    server, tmp_path, edges, expected
+):
+    # A disconnected graph, or one without node 1, is rejected when it
+    # loads: no pool job, no breaker, even past the breaker threshold.
+    edge_list = tmp_path / "edges.txt"
+    edge_list.write_text(edges)
+    spec = f"file:{edge_list}"
+    _s, before = get_status(server.url, "/stats")
+    for _ in range(4):
+        status, payload = get_status(
+            server.url, f"/distance?graph={spec}&source=2&target=3"
+        )
+        assert status == 400
+        assert expected in payload["error"]
+    status, payload = get_status(server.url, f"/diameter?graph={spec}")
+    assert status == 400
+    assert expected in payload["error"]
+    status, payload = post_graphs(server.url, {"spec": spec})
+    assert status == 400
+    assert expected in payload["error"]
+    _s, after = get_status(server.url, "/stats")
+    assert (after["supervisor"]["submitted"]
+            == before["supervisor"]["submitted"])
+    assert f"{spec}|apsp" not in after["breakers"]
+
+
 def test_graphs_post_bad_spec_token_is_400(server):
     status, payload = post_graphs(server.url, {"spec": "er:banana"})
     assert status == 400

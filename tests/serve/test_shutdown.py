@@ -87,10 +87,13 @@ def test_ready_line_parses_ephemeral_port(tmp_path):
     assert proc.returncode == 0
 
 
-def test_unknown_policy_exits_1_before_ready():
+def serve_until_exit(*flags):
+    """Run ``repro serve --port 0 <flags>``; assert it never gets ready.
+
+    Returns ``(returncode, stderr)``.
+    """
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--policy", "bogus"],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env=serve_env(), text=True,
     )
@@ -103,5 +106,18 @@ def test_unknown_policy_exits_1_before_ready():
             # SIGKILL would orphan workers holding the output pipes.
             proc.terminate()
             proc.communicate(timeout=60)
-    assert proc.returncode == 1
+    return proc.returncode, stderr
+
+
+def test_unknown_policy_exits_1_before_ready():
+    returncode, stderr = serve_until_exit("--policy", "bogus")
+    assert returncode == 1
     assert "unknown bandwidth policy 'bogus'" in stderr
+
+
+def test_disconnected_graph_exits_1_before_ready(tmp_path):
+    edge_list = tmp_path / "edges.txt"
+    edge_list.write_text("1 2\n3 4\n")
+    returncode, stderr = serve_until_exit("--graph", f"file:{edge_list}")
+    assert returncode == 1
+    assert "disconnected graph" in stderr
