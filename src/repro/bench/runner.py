@@ -10,10 +10,7 @@ JSON-pure report in the ``repro-bench/1`` schema documented in
 Wall-time statistics are median and p90 over the repeats (plus min /
 max / mean for context): the median is the regression-tracked number —
 robust against a single noisy repeat on shared CI hardware — and p90
-bounds the tail.  Peak RSS comes from ``resource.getrusage`` and is a
-*process-wide high-water mark*: it can only grow across workloads, so
-per-workload values are upper bounds attributable to the largest
-workload run so far.
+bounds the tail.
 """
 
 from __future__ import annotations
@@ -21,17 +18,11 @@ from __future__ import annotations
 import json
 import platform
 import statistics
-import sys
 import time
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
-
-try:
-    import resource
-except ImportError:  # pragma: no cover — non-POSIX platforms
-    resource = None
 
 from ..obs import percentile
 from .workloads import Workload, select
@@ -41,16 +32,6 @@ SCHEMA = "repro-bench/1"
 
 FULL_REPEATS = 5
 QUICK_REPEATS = 3
-
-
-def _peak_rss_kb() -> Optional[int]:
-    """Process peak RSS in KiB (``None`` where unavailable)."""
-    if resource is None:  # pragma: no cover
-        return None
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    scale = 1024 if sys.platform == "darwin" else 1
-    return int(usage.ru_maxrss) // scale
 
 
 def run_workload(
@@ -93,7 +74,6 @@ def run_workload(
         "rounds": rounds,
         "messages": messages,
         "bits": bits,
-        "peak_rss_kb": _peak_rss_kb(),
     }
 
 

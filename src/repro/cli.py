@@ -406,12 +406,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     from . import serve
 
-    chaos = None
-    if args.chaos_inject:
-        try:
-            chaos = json.loads(args.chaos_inject)
-        except ValueError as exc:
-            raise SystemExit(f"--chaos-inject must be JSON: {exc}")
     config = serve.ServerConfig(
         host=args.host,
         port=args.port,
@@ -429,12 +423,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         deadline_s=None if args.deadline <= 0 else args.deadline,
         retries=args.retries,
         queue_depth=args.queue_depth,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset_s=args.breaker_reset,
         max_inflight=args.max_inflight,
         max_body_bytes=int(args.max_body_kb * 1024),
         read_timeout_s=None if args.read_timeout <= 0 else args.read_timeout,
-        chaos=chaos,
     )
     try:
         return serve.run_server(config)
@@ -811,15 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-depth", type=int, default=config.queue_depth,
                    help="pending compute jobs before 429 shedding "
                         "(default %(default)s)")
-    p.add_argument("--breaker-threshold", type=int,
-                   default=config.breaker_threshold,
-                   help="consecutive compute failures before a "
-                        "family's circuit breaker opens "
-                        "(0 disables; default %(default)s)")
-    p.add_argument("--breaker-reset", type=float,
-                   default=config.breaker_reset_s,
-                   help="seconds an open breaker waits before its "
-                        "half-open probe (default %(default)g)")
     p.add_argument("--max-inflight", type=int, default=config.max_inflight,
                    help="concurrent request cap before 429 shedding "
                         "(0 disables; default %(default)s)")
@@ -832,10 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds to wait for a request body before "
                         "dropping the connection (<=0 disables; "
                         "default %(default)g)")
-    p.add_argument("--chaos-inject", default=None, metavar="JSON",
-                   help="chaos plan poisoning compute jobs, e.g. "
-                        "'{\"mode\": \"crash\", \"jobs\": 2, "
-                        "\"attempts\": 1}' (testing only)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

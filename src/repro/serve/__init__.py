@@ -19,14 +19,13 @@ Layering (transport-independent core first):
 * :mod:`~repro.serve.supervisor` — cold computes on the supervised
   worker-process pool of :mod:`repro.harness.pool` (deadlines, crash
   retry, respawn), plus chaos injection;
-* :mod:`~repro.serve.breaker` — per-family circuit breakers;
-* :mod:`~repro.serve.server` — the HTTP front end + shutdown;
+* :mod:`~repro.serve.server` — the HTTP front end, the failing-family
+  rule + shutdown;
 * :mod:`~repro.serve.loadgen` — the ``repro serve-bench`` harness;
 * :mod:`~repro.serve.chaos` — the ``repro serve-chaos`` harness.
 """
 
 from .batch import DEFAULT_MAX_BATCH, DEFAULT_TICK_S, SourceBatcher
-from .breaker import BreakerBoard, BreakerOpen, CircuitBreaker
 from .cache import DEFAULT_MAX_BYTES, MatrixCache
 from .chaos import (
     SCHEMA as CHAOS_SCHEMA,
@@ -60,12 +59,9 @@ from .supervisor import (
 )
 
 __all__ = [
-    "BreakerBoard",
-    "BreakerOpen",
     "CHAOS_SCHEMA",
     "ChaosOptions",
     "ChaosPlan",
-    "CircuitBreaker",
     "ComputeFailed",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_BYTES",

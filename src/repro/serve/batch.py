@@ -15,15 +15,18 @@ Mechanics:
   duplicate sources sharing one future;
 * when the window closes, the batch runs through the ``run_rows``
   runner — in ``repro serve`` the supervised worker pool
-  (:meth:`repro.serve.supervisor.Supervisor.rows`, wrapped with
-  circuit-breaker bookkeeping), so a crashed or slow run costs a
-  worker process, not the server;
+  (:meth:`repro.serve.supervisor.Supervisor.rows`, under the server's
+  failing-family rule), so a crashed or slow run costs a worker
+  process, not the server;
 * oversize windows split: at most ``max_batch`` sources per run, the
-  remainder reopens a window immediately.
+  remainder reopens a window immediately;
+* full-matrix requests have no coalescing axis, but concurrent ones
+  for one family share its in-flight run.
 
 Runner failures (worker crash budget spent, deadline exceeded, pool
-saturated) propagate to every waiter in the window; the HTTP layer
-maps them onto the 429/503/degraded contract (docs/serving.md).
+saturated, family failing) propagate to every waiter in the window;
+the HTTP layer maps them onto the 429/503/degraded contract
+(docs/serving.md).
 
 :meth:`drain` waits for every open window and in-flight run — the
 graceful-shutdown path, so SIGINT never drops an accepted query.
@@ -76,6 +79,7 @@ class SourceBatcher:
         self.tick_s = tick_s
         self.max_batch = max(1, int(max_batch))
         self._windows: Dict[QueryFamily, _Window] = {}
+        self._full: Dict[QueryFamily, asyncio.Task] = {}
         self._inflight: Set[asyncio.Task] = set()
         self._run_rows = run_rows
         self._run_full = run_full
@@ -107,9 +111,16 @@ class SourceBatcher:
         await asyncio.shield(future)
 
     async def full(self, family: QueryFamily) -> None:
-        """Ensure the complete matrix is cached (no coalescing axis)."""
-        task = asyncio.ensure_future(self._run_full(family))
-        self._track(task)
+        """Ensure the complete matrix is cached.
+
+        Concurrent calls for one family await the same run.
+        """
+        task = self._full.get(family)
+        if task is None:
+            task = asyncio.ensure_future(self._run_full(family))
+            self._full[family] = task
+            task.add_done_callback(lambda _: self._full.pop(family, None))
+            self._track(task)
         await asyncio.shield(task)
 
     # -- flush side --------------------------------------------------------

@@ -17,8 +17,8 @@ the end it checks the contract:
 * **zero dropped queries** — every request the clients issued got an
   HTTP response (connection resets count as drops);
 * **no internal errors** — every response status is 200/429/503
-  (429 = admission shed, 503 = breaker or deadline; 500 means a
-  crash leaked past the retry machinery);
+  (429 = admission shed, 503 = deadline or failing family; 500
+  means a crash leaked past the retry machinery);
 * **full recovery** — every kill was followed by a respawn, the final
   worker complement is complete, and ``/readyz`` answers 200;
 * **bounded tail** — client p99 stays under ``p99_budget_ms``.

@@ -30,10 +30,14 @@ Robustness contract (docs/serving.md "Failure modes"):
 * admission control sheds with ``429 Retry-After`` — both the HTTP
   in-flight cap (``max_inflight``) and pool-queue saturation; cache
   hits (memory or disk tier) keep being served while the pool is full;
-* a per-family circuit breaker (:mod:`repro.serve.breaker`) trips
-  after repeated compute failures and answers ``503 Retry-After``;
-* an exact ``/diameter`` that misses its deadline degrades to the
-  paper's 2-vs-4 classification (Algorithm 3) — the answer carries
+* a query family whose last compute missed its deadline or failed
+  is *failing*: its next compute is a probe, and while the probe runs
+  every other compute of the family answers ``503 Retry-After: 1``
+  at once instead of taking a worker; the family's first successful
+  compute clears it;
+* an exact ``/diameter`` that misses its deadline, or whose family is
+  failing with a probe running, degrades to the paper's 2-vs-4
+  classification (Algorithm 3) — the answer carries
   ``degraded: true`` and the approximation metadata;
 * malformed ``Content-Length`` gets ``400``, oversize bodies ``413``,
   and a stalled body read is dropped after ``read_timeout_s`` without
@@ -56,16 +60,12 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, List, Mapping, Optional, Tuple,
+)
 from urllib.parse import parse_qs, urlsplit
 
 from .batch import DEFAULT_MAX_BATCH, DEFAULT_TICK_S, SourceBatcher
-from .breaker import (
-    DEFAULT_RESET_S,
-    DEFAULT_THRESHOLD,
-    BreakerBoard,
-    BreakerOpen,
-)
 from .cache import DEFAULT_MAX_BYTES
 from .matrix import QueryFamily
 from .service import DistanceService, QueryError
@@ -108,6 +108,17 @@ _STATUS_TEXT = {
     429: "Too Many Requests", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class FamilyFailing(Exception):
+    """A compute refused because its failing family's probe is running."""
+
+    def __init__(self, family: QueryFamily) -> None:
+        super().__init__(
+            f"the last compute for {family.graph_spec!r} "
+            f"({family.protocol}) failed and the next one is still "
+            f"running; retry shortly"
+        )
 
 
 class HttpProtocolError(Exception):
@@ -231,8 +242,8 @@ def encode_response(
 class ServerConfig:
     """Every ``repro serve`` setting, declared once.
 
-    :class:`DistanceServer` builds its service, worker pool, batcher
-    and breakers from it, ``repro serve`` takes its flag defaults from
+    :class:`DistanceServer` builds its service, worker pool and
+    batcher from it, ``repro serve`` takes its flag defaults from
     it, and :class:`ServerThread` accepts any field as a keyword.
     """
 
@@ -256,8 +267,6 @@ class ServerConfig:
     deadline_s: Optional[float] = DEFAULT_DEADLINE_S
     retries: int = DEFAULT_RETRIES
     queue_depth: int = DEFAULT_QUEUE_DEPTH
-    breaker_threshold: int = DEFAULT_THRESHOLD
-    breaker_reset_s: float = DEFAULT_RESET_S
     max_inflight: int = DEFAULT_MAX_INFLIGHT
     max_body_bytes: int = DEFAULT_MAX_BODY_BYTES
     read_timeout_s: Optional[float] = DEFAULT_READ_TIMEOUT_S
@@ -296,13 +305,9 @@ class DistanceServer:
             self._pool_rows, self._pool_full,
             tick_s=config.tick_s, max_batch=config.max_batch,
         )
-        self.breakers = (
-            BreakerBoard(
-                threshold=config.breaker_threshold,
-                reset_s=config.breaker_reset_s,
-            )
-            if config.breaker_threshold > 0 else None
-        )
+        #: Failing families -> whether their probe compute is running.
+        self._failing: Dict[QueryFamily, bool] = {}
+        self._failed_fast = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping = False
         self._active_requests = 0
@@ -313,8 +318,6 @@ class DistanceServer:
         stats = self.service.stats
         stats.set_section("admission", self._admission_snapshot)
         stats.set_section("supervisor", self.supervisor.snapshot)
-        if self.breakers is not None:
-            stats.set_section("breakers", self.breakers.snapshot)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -368,31 +371,49 @@ class DistanceServer:
             "stats": snapshot,
         }
 
-    # -- pool-backed compute runners (breaker recording per run) -----------
-
-    @staticmethod
-    def _breaker_key(family: QueryFamily) -> str:
-        return f"{family.graph_spec}|{family.protocol}"
+    # -- pool-backed compute runners (the failing-family rule) ------------
 
     async def _pool_rows(
         self, family: QueryFamily, sources: List[int]
     ) -> None:
-        await self._recorded(family, self.supervisor.rows(family, sources))
+        await self._recorded(self.supervisor.rows, family, sources)
 
     async def _pool_full(self, family: QueryFamily) -> None:
-        await self._recorded(family, self.supervisor.full(family))
+        await self._recorded(self.supervisor.full, family)
 
-    async def _recorded(self, family: QueryFamily, compute) -> None:
-        """Await a pool compute, recording its outcome on the breaker."""
-        if self.breakers is None:
-            return await compute
-        key = self._breaker_key(family)
+    async def _recorded(
+        self,
+        compute: Callable[..., Awaitable[None]],
+        family: QueryFamily,
+        *args: Any,
+    ) -> None:
+        """Run one pool compute under the failing-family rule.
+
+        A family whose last compute raised :class:`DeadlineExceeded` or
+        :class:`ComputeFailed` is failing, and its next compute is the
+        probe.  While the probe runs, every other compute of the family
+        raises :class:`FamilyFailing` without being submitted, so a
+        failing family holds at most one worker.  Any successful
+        compute of the family clears it.
+        """
+        probing = self._failing.get(family)
+        if probing:
+            self._failed_fast += 1
+            raise FamilyFailing(family)
+        probe = probing is not None
+        if probe:
+            self._failing[family] = True
         try:
-            await compute
+            await compute(family, *args)
         except (DeadlineExceeded, ComputeFailed):
-            self.breakers.record_failure(key)
+            self._failing.setdefault(family, False)
             raise
-        self.breakers.record_success(key)
+        else:
+            self._failing.pop(family, None)
+        finally:
+            # The probe is over, whatever its outcome.
+            if probe and self._failing.get(family):
+                self._failing[family] = False
 
     # -- readiness / admission snapshots -----------------------------------
 
@@ -428,6 +449,8 @@ class DistanceServer:
             "shed": self._shed,
             "protocol_errors": self._protocol_errors,
             "degraded_answers": self._degraded,
+            "failing_families": len(self._failing),
+            "failed_fast": self._failed_fast,
         }
 
     # -- connection handling -----------------------------------------------
@@ -547,21 +570,14 @@ class DistanceServer:
                 {"error": str(exc), "retry_after_s": exc.retry_after_s},
                 {"Retry-After": retry_after_header(exc.retry_after_s)},
             )
-        except BreakerOpen as exc:
-            return (
-                503,
-                {
-                    "error": str(exc),
-                    "retry_after_s": round(exc.retry_after_s, 3),
-                },
-                {"Retry-After": retry_after_header(exc.retry_after_s)},
-            )
         except DeadlineExceeded as exc:
             return (
                 503,
                 {"error": f"deadline exceeded: {exc}"},
                 {"Retry-After": "1"},
             )
+        except FamilyFailing as exc:
+            return 503, {"error": str(exc)}, {"Retry-After": "1"}
         except ComputeFailed as exc:
             return 500, {"error": f"compute failed: {exc}"}, None
         except Exception as exc:  # defensive: a 500 must not kill the loop
@@ -600,20 +616,15 @@ class DistanceServer:
             self._required(request, "graph"), protocol, params
         )
 
-    def _check_breaker(self, family: QueryFamily) -> None:
-        if self.breakers is not None:
-            self.breakers.check(self._breaker_key(family))
-
     async def _ensure_row(self, family, node: int) -> str:
         """Async row materialization: cache tiers, then the batcher.
 
-        Cache hits (memory or disk) bypass admission and the breaker
-        entirely — a saturated pool or a tripped family still serves
-        everything the two cache tiers hold.
+        Cache hits (memory or disk) never reach the pool — a saturated
+        pool or a failing family still serves everything the two cache
+        tiers hold.
         """
         tier = self.service.lookup_row(family, node)
         if tier is None:
-            self._check_breaker(family)
             await self.batcher.row(family, node)
             tier = "computed"
         self.service.stats.observe_tier(tier)
@@ -671,10 +682,9 @@ class DistanceServer:
         family = self._family(request)
         tier = self.service.lookup_full(family)
         if tier is None:
-            self._check_breaker(family)
             try:
                 await self.batcher.full(family)
-            except DeadlineExceeded:
+            except (DeadlineExceeded, FamilyFailing):
                 return await self._degraded_diameter(family)
             tier = "computed"
         self.service.stats.observe_tier(tier)
@@ -688,7 +698,8 @@ class DistanceServer:
         """Deadline-missed fallback: the 2-vs-4 classification.
 
         Algorithm 3 answers in Õ(√n) rounds instead of Algorithm 1's
-        O(n), so it fits a deadline the exact run missed.  The verdict
+        O(n), so it fits a deadline the exact run missed, or would
+        miss beside its failing family's probe.  The verdict
         is exact on diameter-{2,4} promise graphs; in general ``2``
         certifies diameter ≤ 2 and ``4`` certifies diameter ≥ 3 —
         a factor-2 classification, flagged ``degraded`` so clients can

@@ -226,8 +226,8 @@ class DistanceService:
 
         The params go through the registry's schema check with the
         service's seed, policy and backend, so a malformed one is a
-        400 here rather than a failed compute that counts against the
-        family's circuit breaker.
+        400 here rather than a failed compute that marks the family
+        failing.
         """
         serve_backend = BACKENDS.get(protocol)
         if serve_backend is None:

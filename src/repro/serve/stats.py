@@ -59,7 +59,7 @@ class ServeStats:
         self._batch_rounds = 0
         self._sequential_rounds_estimate = 0
         self._protocol_runs = 0
-        #: Extra snapshot sections (supervisor, breakers, admission…)
+        #: Extra snapshot sections (supervisor, admission…)
         #: registered by the server; each provider returns a JSON-pure
         #: dict and is called *outside* the stats lock.
         self._sections: Dict[str, Callable[[], Dict[str, Any]]] = {}

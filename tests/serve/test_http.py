@@ -127,3 +127,27 @@ def test_batched_server_side_coalescing():
         # Coalescing happened: far fewer runs than queries.
         assert snap["count"] < 10
         assert snap["max_size"] >= 2
+
+
+def test_concurrent_cold_diameter_misses_share_one_job():
+    """Concurrent misses for one family's full matrix share one run."""
+    import concurrent.futures
+
+    with ServerThread(
+        workers=2,
+        tick_s=0.001,
+        chaos={"mode": "hang", "seconds": 0.5,
+               "kinds": ["full"], "jobs": 1},
+    ) as handle:
+        before = get(handle.url, "/stats")
+        with concurrent.futures.ThreadPoolExecutor(4) as pool:
+            results = list(pool.map(
+                lambda _: get_status(handle.url, "/diameter?graph=cycle:12"),
+                range(4),
+            ))
+        for status, payload in results:
+            assert (status, payload["diameter"]) == (200, 6)
+        after = get(handle.url, "/stats")
+        assert (after["supervisor"]["submitted"]
+                - before["supervisor"]["submitted"]) == 1
+        assert after["protocol_runs"] - before["protocol_runs"] == 1

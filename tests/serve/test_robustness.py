@@ -1,9 +1,10 @@
-"""HTTP-level robustness tests: the ISSUE 7 failure-mode contract.
+"""HTTP-level robustness tests: the serve failure-mode contract.
 
 Covers the hardened request parser (malformed Content-Length, body
 caps, stalled bodies), the 400-never-500 guarantee for bad ``/graphs``
-payloads, admission shedding, readiness, breaker trips with half-open
-recovery, and the degraded 2-vs-4 ``/diameter`` answer.
+payloads, admission shedding, readiness, the failing-family rule (one
+probe compute at a time, fast 503s beside it, cleared by a success),
+and the degraded 2-vs-4 ``/diameter`` answer.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def test_graph_no_protocol_can_run_is_400_and_spares_the_pool(
     server, tmp_path, edges, expected
 ):
     # A disconnected graph, or one without node 1, is rejected when it
-    # loads: no pool job, no breaker, even past the breaker threshold.
+    # loads: no pool job, and the family is never marked failing.
     edge_list = tmp_path / "edges.txt"
     edge_list.write_text(edges)
     spec = f"file:{edge_list}"
@@ -184,7 +185,8 @@ def test_graph_no_protocol_can_run_is_400_and_spares_the_pool(
     _s, after = get_status(server.url, "/stats")
     assert (after["supervisor"]["submitted"]
             == before["supervisor"]["submitted"])
-    assert f"{spec}|apsp" not in after["breakers"]
+    assert (after["admission"]["failing_families"]
+            == before["admission"]["failing_families"])
 
 
 def test_graphs_post_bad_spec_token_is_400(server):
@@ -309,12 +311,13 @@ def test_eccentricity_deadline_is_503_with_retry_after():
         excinfo.value.read()
 
 
-# -- circuit breaker: trip on repeated failures, recover half-open -----
+# -- the failing-family rule: one probe at a time, cleared by success --
 
 
 def test_malformed_weighted_param_is_400_and_spares_the_breaker(server):
     # Rejected by the registry's param check before any compute, so
-    # even more requests than the breaker threshold (3) open nothing.
+    # repeated bad requests never mark the family failing.
+    _s, before = get_status(server.url, "/stats")
     path = ("/distance?graph=cycle:12&source=1&target=2"
             "&protocol=weighted-apsp&max_weight={}")
     for _ in range(4):
@@ -325,41 +328,120 @@ def test_malformed_weighted_param_is_400_and_spares_the_breaker(server):
                                  path.format(3) + "&weight_seed=1")
     assert status == 200
     _s, stats = get_status(server.url, "/stats")
-    breaker = stats["breakers"]["cycle:12|weighted-apsp"]
-    assert breaker["state"] == "closed"
-    assert breaker["opened_count"] == 0
+    assert (stats["admission"]["failing_families"]
+            == before["admission"]["failing_families"])
 
 
-def test_breaker_trips_and_recovers_over_http():
+def get_with_headers(url, path):
+    try:
+        with urllib.request.urlopen(url + path, timeout=60) as response:
+            return (response.status, response.headers,
+                    json.loads(response.read().decode()))
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers, json.loads(exc.read().decode())
+
+
+def test_failing_family_runs_one_probe_and_recovers():
     with ServerThread(
-        workers=1,
+        workers=2,
+        deadline_s=0.5,
         retries=0,
         tick_s=0.001,
-        breaker_threshold=2,
-        breaker_reset_s=0.3,
-        chaos={"mode": "error", "kinds": ["rows"], "jobs": 2},
+        chaos={"mode": "hang", "seconds": 30.0,
+               "kinds": ["rows"], "jobs": 2},
     ) as handle:
-        path = "/distance?graph=cycle:12&source=1&target={}"
-        # Two poisoned computes → two 500s → the breaker opens.
-        assert get_status(handle.url, path.format(2))[0] == 500
-        assert get_status(handle.url, path.format(3))[0] == 500
-        status, payload = get_status(handle.url, path.format(4))
+        path = "/distance?graph=cycle:12&source={}&target=1"
+        # The first compute misses its deadline: the family is failing.
+        assert get_status(handle.url, path.format(2))[0] == 503
+        # The next compute is the probe; it hangs past the deadline too.
+        probe = {}
+        thread = threading.Thread(target=lambda: probe.update(
+            result=get_status(handle.url, path.format(3))
+        ))
+        thread.start()
+        time.sleep(0.15)
+        # Beside the probe, the family's computes fail fast with 503 ...
+        started = time.monotonic()
+        status, headers, payload = get_with_headers(
+            handle.url, path.format(4)
+        )
         assert status == 503
-        assert "circuit breaker" in payload["error"]
+        assert headers["Retry-After"] == "1"
+        assert "failed" in payload["error"]
+        assert time.monotonic() - started < 0.25
+        # ... while other families still get the second worker.
+        status, payload = get_status(
+            handle.url, "/distance?graph=cycle:10&source=1&target=6"
+        )
+        assert (status, payload["distance"]) == (200, 5)
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert probe["result"][0] == 503
         _s, stats = get_status(handle.url, "/stats")
-        key = "cycle:12|apsp"
-        assert stats["breakers"][key]["state"] == "open"
-        assert stats["breakers"][key]["opened_count"] == 1
-        # Liveness and readiness are unaffected by a tripped family.
-        assert get_status(handle.url, "/readyz")[0] == 200
-        # After the reset window the half-open probe runs for real
-        # (the chaos budget is spent) and closes the breaker.
-        time.sleep(0.4)
+        assert stats["supervisor"]["submitted"] == 3
+        assert stats["admission"]["failed_fast"] == 1
+        assert stats["admission"]["failing_families"] == 1
+        # Liveness and readiness are unaffected by a failing family.
+        assert get_status(handle.url, "/healthz")[0] == 200
+        # The chaos budget is spent: the next probe succeeds and clears
+        # the family.
         status, payload = get_status(handle.url, path.format(5))
-        assert status == 200
-        assert payload["distance"] == 4
+        assert (status, payload["distance"]) == (200, 4)
         _s, stats = get_status(handle.url, "/stats")
-        assert stats["breakers"][key]["state"] == "closed"
+        assert stats["admission"]["failing_families"] == 0
+
+
+def test_diameter_beside_a_probe_degrades_instead_of_503():
+    with ServerThread(
+        workers=2,
+        deadline_s=0.5,
+        retries=0,
+        tick_s=0.001,
+        chaos={"mode": "hang", "seconds": 30.0,
+               "kinds": ["rows"], "jobs": 2},
+    ) as handle:
+        spec = "diameter4:24:seed=1"
+        path = f"/eccentricity?graph={spec}&node={{}}"
+        assert get_status(handle.url, path.format(1))[0] == 503
+        probe = threading.Thread(
+            target=get_status, args=(handle.url, path.format(2))
+        )
+        probe.start()
+        time.sleep(0.15)
+        # The exact run would sit beside the probe: it is refused, and
+        # the answer degrades to 2-vs-4 instead of a 503.
+        status, payload = get_status(handle.url, f"/diameter?graph={spec}")
+        assert status == 200
+        assert payload["degraded"] is True
+        assert payload["diameter"] == 4
+        probe.join(timeout=60)
+        assert not probe.is_alive()
+        _s, stats = get_status(handle.url, "/stats")
+        assert stats["admission"]["failed_fast"] == 1
+
+
+def test_diameter_degrades_on_every_deadline_miss():
+    with ServerThread(
+        workers=1,
+        deadline_s=0.4,
+        retries=0,
+        tick_s=0.001,
+        chaos={"mode": "hang", "seconds": 30.0,
+               "kinds": ["full"], "jobs": 4},
+    ) as handle:
+        path = "/diameter?graph=diameter4:24:seed=1"
+        for _ in range(4):
+            status, payload = get_status(handle.url, path)
+            assert status == 200
+            assert payload["degraded"] is True
+            assert payload["diameter"] == 4
+        status, payload = get_status(handle.url, path)
+        assert status == 200
+        assert payload["degraded"] is False
+        assert payload["diameter"] == 4
+        _s, stats = get_status(handle.url, "/stats")
+        assert stats["admission"]["degraded_answers"] == 4
+        assert stats["admission"]["failing_families"] == 0
 
 
 def test_readyz_reflects_killed_worker():
