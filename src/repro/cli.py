@@ -415,7 +415,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         seed=args.seed,
         policy=args.policy,
         backend=args.backend,
-        tick_s=args.tick_ms / 1000.0,
         max_batch=args.max_batch,
         stats_path=args.stats_out,
         warm=tuple(args.warm or ()),
@@ -773,10 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-matrix-mb", type=float,
                    default=config.max_matrix_bytes / (1024 * 1024),
                    help="in-memory matrix LRU budget (default %(default)g)")
-    p.add_argument("--tick-ms", type=float, default=config.tick_s * 1000,
-                   help="batching window: concurrent queries within "
-                        "one tick share a single S-SP run "
-                        "(default %(default)g)")
     p.add_argument("--max-batch", type=int, default=config.max_batch,
                    help="max sources per batched run (default %(default)s)")
     p.add_argument("--policy", default=config.policy,

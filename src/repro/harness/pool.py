@@ -155,6 +155,9 @@ class Pool:
         #: Every accepted job that has not settled yet.
         self._jobs: Set[_Job] = set()
         self._queue: Optional[asyncio.Queue] = None
+        #: Resolved, then replaced, by every settlement; wakes
+        #: :meth:`idle` waiters.
+        self._settled: Optional[asyncio.Future] = None
         self._recv_pool: Optional[ThreadPoolExecutor] = None
         self._started = False
         self._closed = False
@@ -178,6 +181,7 @@ class Pool:
             return
         self._started = True
         self._queue = asyncio.Queue()
+        self._settled = asyncio.get_running_loop().create_future()
         self._recv_pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix=WORKER_NAME
         )
@@ -277,6 +281,30 @@ class Pool:
 
     # -- submission --------------------------------------------------------
 
+    async def idle(self, timeout_s: Optional[float] = None) -> bool:
+        """Wait until a job submitted now would start at once.
+
+        That is, until fewer jobs are unsettled than there are workers,
+        or the pool has closed (a submission then raises).  Returns
+        ``False`` if ``timeout_s`` runs out first.  Each settled job
+        wakes every waiter in the order they began waiting, and each
+        re-checks, so a caller that submits as soon as this returns
+        takes the idle worker; one that does not leaves it to the next.
+        """
+        give_up = None if timeout_s is None else time.monotonic() + timeout_s
+        while not self._closed and len(self._jobs) >= self.workers:
+            remaining = (
+                None if give_up is None else give_up - time.monotonic()
+            )
+            # asyncio.wait registers on the future in this step, with no
+            # wrapper task, so no settlement can fall between the check
+            # and the wait; and the wake-up resumes this task itself,
+            # so its re-check runs after any earlier waiter submitted.
+            done, _ = await asyncio.wait((self._settled,), timeout=remaining)
+            if not done:
+                return False
+        return True
+
     async def submit(
         self, payload: Any, *, deadline_s: Optional[float] = None
     ) -> Any:
@@ -332,6 +360,9 @@ class Pool:
         else:
             self.failed += 1
             job.future.set_exception(error)
+        # Wake every idle() waiter; each re-checks the occupancy.
+        self._settled.set_result(None)
+        self._settled = self._settled.get_loop().create_future()
 
     def _retry_or_fail(self, job: _Job) -> None:
         """Crash path: requeue after a backoff, or fail when spent."""

@@ -5,16 +5,18 @@ long-running asyncio HTTP+JSON server that loads graphs once, runs
 registered protocols on demand through :func:`repro.protocols.run`,
 memoizes distance matrices in the content-addressed run cache, and
 answers point ``distance`` / ``eccentricity`` / ``diameter`` queries
-from resident matrices at memory speed.  Concurrent cold queries
-against one graph coalesce into a single Algorithm 2 (S-SP) run —
-``O(|S| + D)`` rounds for the whole batch.  See ``docs/serving.md``.
+from resident matrices at memory speed.  Cold queries against one
+graph that arrive while every worker is busy coalesce into a single
+Algorithm 2 (S-SP) run — ``O(|S| + D)`` rounds for the whole batch.
+See ``docs/serving.md``.
 
 Layering (transport-independent core first):
 
 * :mod:`~repro.serve.matrix` — query families and distance matrices;
 * :mod:`~repro.serve.cache` — in-memory LRU over the on-disk RunCache;
 * :mod:`~repro.serve.service` — graphs, validation, lookups, compute jobs;
-* :mod:`~repro.serve.batch` — the per-tick source batcher;
+* :mod:`~repro.serve.batch` — the source batcher: a cold miss runs at
+  once on an idle worker, and misses coalesce while the pool is busy;
 * :mod:`~repro.serve.stats` — the ``/stats`` counters;
 * :mod:`~repro.serve.supervisor` — cold computes on the supervised
   worker-process pool of :mod:`repro.harness.pool` (deadlines, crash
@@ -25,7 +27,7 @@ Layering (transport-independent core first):
 * :mod:`~repro.serve.chaos` — the ``repro serve-chaos`` harness.
 """
 
-from .batch import DEFAULT_MAX_BATCH, DEFAULT_TICK_S, SourceBatcher
+from .batch import DEFAULT_MAX_BATCH, SourceBatcher
 from .cache import DEFAULT_MAX_BYTES, MatrixCache
 from .chaos import (
     SCHEMA as CHAOS_SCHEMA,
@@ -65,7 +67,6 @@ __all__ = [
     "ComputeFailed",
     "DEFAULT_MAX_BATCH",
     "DEFAULT_MAX_BYTES",
-    "DEFAULT_TICK_S",
     "DeadlineExceeded",
     "DistanceMatrix",
     "DistanceServer",

@@ -1,84 +1,92 @@
 """The request batcher: concurrent queries → one Algorithm 2 run.
 
 Algorithm 2 computes S-shortest-paths for an *arbitrary* source set in
-``O(|S| + D)`` rounds — it is a batch API by construction.  The
-batcher exploits that: cold row requests arriving within one
-*simulation tick* against the same :class:`~repro.serve.matrix.
-QueryFamily` are coalesced into a single source set and answered by
-one S-SP run, so ``k`` concurrent misses cost ``|S| + D + O(1)``
-rounds instead of ``k`` separate ``D + O(1)``-round runs.
+``O(|S| + D)`` rounds — it is a batch API by construction.  Cold row
+misses against one :class:`~repro.serve.matrix.QueryFamily` that
+arrive while every pool worker is busy are coalesced into one source
+set and answered by one S-SP run, so ``k`` overlapping misses cost
+``|S| + D + O(1)`` rounds instead of ``k · (D + O(1))``.  Coalescing
+saves worker time only when a miss would otherwise wait for a worker,
+so an idle worker takes a miss at once.
 
 Mechanics:
 
-* the first request for a family opens a *window*; requests landing
-  during the window (``tick_s`` seconds) join its source set, with
-  duplicate sources sharing one future;
-* when the window closes, the batch runs through the ``run_rows``
-  runner — in ``repro serve`` the supervised worker pool
-  (:meth:`repro.serve.supervisor.Supervisor.rows`, under the server's
-  failing-family rule), so a crashed or slow run costs a worker
-  process, not the server;
-* oversize windows split: at most ``max_batch`` sources per run, the
-  remainder reopens a window immediately;
-* full-matrix requests have no coalescing axis, but concurrent ones
-  for one family share its in-flight run.
+* the first miss for a family opens a *window*.  It yields one
+  event-loop turn, so misses that arrive together share it, then waits
+  on :meth:`repro.harness.pool.Pool.idle` unless it already holds
+  ``max_batch`` sources (a new window takes the next miss).  Each
+  settled job wakes the waiting windows in the order they opened, so
+  the freed worker goes to the earliest, and a window whose compute is
+  refused passes it on;
+* a miss whose source is already pending, in an open window or an
+  in-flight run, joins that source's future;
+* the wait counts against the pool's ``deadline_s``: the run gets what
+  is left, and a window still waiting when it runs out is refused with
+  :class:`DeadlineExceeded`;
+* the run goes through ``run_rows`` — in ``repro serve``
+  :meth:`repro.serve.supervisor.Supervisor.rows` under the server's
+  failing-family rule;
+* concurrent full-matrix requests for one family share its run.
 
-Runner failures (worker crash budget spent, deadline exceeded, pool
-saturated, family failing) propagate to every waiter in the window;
-the HTTP layer maps them onto the 429/503/degraded contract
-(docs/serving.md).
-
-:meth:`drain` waits for every open window and in-flight run — the
-graceful-shutdown path, so SIGINT never drops an accepted query.
+Runner failures propagate to every waiter in the window; the HTTP
+layer maps them onto the 429/503/degraded contract (docs/serving.md).
+Shutdown calls :meth:`close` as it begins, so a row miss from then on
+is refused with :class:`Draining`, and :meth:`drain` waits for every
+open window and in-flight run, so SIGINT never drops an accepted
+query.
 """
 
 from __future__ import annotations
 
 import asyncio
+import time
 from typing import Awaitable, Callable, Dict, List, Optional, Set
 
+from ..harness.pool import DeadlineExceeded, Pool
 from .matrix import QueryFamily
-
-#: Default coalescing window: long enough for concurrent clients to
-#: pile onto one batch, short enough to be invisible next to a run.
-DEFAULT_TICK_S = 0.005
 
 #: Algorithm 2's round cost is linear in |S|; cap a single batch so one
 #: huge window cannot monopolize the simulation worker.
 DEFAULT_MAX_BATCH = 64
 
-#: A compute runner for batched rows: ``await run_rows(family, sources)``.
-RowsRunner = Callable[[QueryFamily, List[int]], Awaitable[None]]
+#: A compute runner for batched rows:
+#: ``await run_rows(family, sources, deadline_s)``, where ``deadline_s``
+#: is the wall-clock budget left for the run (``None``: unbounded).
+RowsRunner = Callable[
+    [QueryFamily, List[int], Optional[float]], Awaitable[None]
+]
 
 #: A compute runner for full matrices: ``await run_full(family)``.
 FullRunner = Callable[[QueryFamily], Awaitable[None]]
 
 
-class _Window:
-    """One open coalescing window for a family."""
-
-    __slots__ = ("sources", "waiters", "task")
-
-    def __init__(self) -> None:
-        self.sources: List[int] = []
-        self.waiters: Dict[int, asyncio.Future] = {}
-        self.task: Optional[asyncio.Task] = None
+class Draining(RuntimeError):
+    """A cold row miss refused because shutdown has begun."""
 
 
 class SourceBatcher:
-    """Coalesces per-source row requests into batched S-SP runs."""
+    """Coalesces per-source row requests into batched S-SP runs.
+
+    ``pool`` is the worker pool the runners submit to: its occupancy
+    closes windows and its ``deadline_s`` bounds each window from
+    opening to answer.
+    """
 
     def __init__(
         self,
         run_rows: RowsRunner,
         run_full: FullRunner,
         *,
-        tick_s: float = DEFAULT_TICK_S,
+        pool: Pool,
         max_batch: int = DEFAULT_MAX_BATCH,
     ) -> None:
-        self.tick_s = tick_s
         self.max_batch = max(1, int(max_batch))
-        self._windows: Dict[QueryFamily, _Window] = {}
+        self._pool = pool
+        #: The open (still growing) window of each family: its sources.
+        self._windows: Dict[QueryFamily, List[int]] = {}
+        #: Per family, every source pending in an open window or an
+        #: in-flight run, and the future its waiters share.
+        self._pending: Dict[QueryFamily, Dict[int, asyncio.Future]] = {}
         self._full: Dict[QueryFamily, asyncio.Task] = {}
         self._inflight: Set[asyncio.Task] = set()
         self._run_rows = run_rows
@@ -91,23 +99,24 @@ class SourceBatcher:
         """Ensure ``source``'s row is cached, batching with neighbors.
 
         Returns once the row is resident; raises whatever the
-        underlying run raised.
+        underlying run raised, or :class:`Draining` after shutdown
+        began.
         """
         if self._closed:
-            raise RuntimeError("batcher is shut down")
-        window = self._windows.get(family)
-        if window is None or len(window.sources) >= self.max_batch:
-            window = _Window()
-            self._windows[family] = window
-            window.task = asyncio.ensure_future(
-                self._flush_after_tick(family, window)
-            )
-            self._track(window.task)
-        future = window.waiters.get(source)
+            raise Draining("the server is shutting down; retry shortly")
+        pending = self._pending.setdefault(family, {})
+        future = pending.get(source)
         if future is None:
+            window = self._windows.get(family)
+            if window is None or len(window) >= self.max_batch:
+                window = []
+                self._windows[family] = window
+                self._track(asyncio.ensure_future(
+                    self._flush(family, window)
+                ))
+            window.append(source)
             future = asyncio.get_running_loop().create_future()
-            window.waiters[source] = future
-            window.sources.append(source)
+            pending[source] = future
         await asyncio.shield(future)
 
     async def full(self, family: QueryFamily) -> None:
@@ -129,38 +138,74 @@ class SourceBatcher:
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    async def _flush_after_tick(
-        self, family: QueryFamily, window: _Window
-    ) -> None:
-        await asyncio.sleep(self.tick_s)
+    def _seal(self, family: QueryFamily, window: List[int]) -> None:
+        """Stop ``window`` growing: the family's next miss opens anew."""
         if self._windows.get(family) is window:
             del self._windows[family]
+
+    async def _flush(self, family: QueryFamily, window: List[int]) -> None:
+        """Run ``window`` once a worker is idle; settle its waiters.
+
+        Created as the window opens, so it starts within a turn of the
+        first miss; the wait for a worker counts against the pool's
+        deadline, and the run gets the rest.
+        """
+        budget = self._pool.deadline_s
+        opened = time.monotonic()
         try:
-            await self._run_rows(family, list(window.sources))
-        except BaseException as exc:  # propagate to every waiter
-            for future in window.waiters.values():
-                if not future.done():
-                    future.set_exception(exc)
-            return
-        for future in window.waiters.values():
-            if not future.done():
+            # One turn first, so misses that arrive together share it.
+            await asyncio.sleep(0)
+            if len(window) < self.max_batch:
+                if not await self._pool.idle(budget):
+                    raise DeadlineExceeded(
+                        "the query spent its deadline waiting for a "
+                        "free worker"
+                    )
+            self._seal(family, window)
+            if budget is not None:
+                budget -= time.monotonic() - opened
+            await self._run_rows(family, window, budget)
+        except BaseException as exc:  # every waiter sees the failure
+            self._settle(family, window, exc)
+            if not isinstance(exc, Exception):
+                raise
+        else:
+            self._settle(family, window, None)
+
+    def _settle(
+        self,
+        family: QueryFamily,
+        window: List[int],
+        error: Optional[BaseException],
+    ) -> None:
+        """Seal ``window`` and hand its outcome to every waiter."""
+        self._seal(family, window)
+        pending = self._pending[family]
+        for source in window:
+            future = pending.pop(source)
+            if error is None:
                 future.set_result(None)
+            else:
+                future.set_exception(error)
+        if not pending:
+            del self._pending[family]
 
     # -- lifecycle ---------------------------------------------------------
 
+    def close(self) -> None:
+        """Refuse every row miss from now on with :class:`Draining`."""
+        self._closed = True
+
     async def drain(self) -> int:
-        """Flush every open window and wait out in-flight runs.
+        """Close, then wait out open windows and in-flight runs.
 
         Returns the number of tasks awaited; used by graceful shutdown
         so accepted queries are answered before the process exits.
         """
-        self._closed = True
+        self.close()
         drained = 0
-        while self._inflight or self._windows:
+        while self._inflight:
             pending = list(self._inflight)
-            if not pending:
-                await asyncio.sleep(0)
-                continue
             drained += len(pending)
             await asyncio.gather(*pending, return_exceptions=True)
         return drained

@@ -22,10 +22,11 @@ rows persist in the content-addressed
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
-from ..harness.hashing import canonical_json, task_key
+from ..harness.hashing import task_key
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,20 @@ def rows_from_matrix_record(
 
 
 def _row_bytes(row: Mapping[int, int]) -> int:
-    """Estimated storage footprint of one row (canonical JSON size)."""
-    return len(canonical_json({str(k): v for k, v in row.items()}))
+    """Resident footprint of one row: the dict and its large ints.
+
+    Ints from -5 to 256 are the interpreter's shared objects and cost
+    nothing more.  Any other node id or distance is an object of its
+    own in a row decoded from JSON or from a worker's pickle, so it is
+    counted at its ``sys.getsizeof``.
+    """
+    size = sys.getsizeof(row)
+    for node, dist in row.items():
+        if node > 256:
+            size += sys.getsizeof(node)
+        if dist > 256:
+            size += sys.getsizeof(dist)
+    return size
 
 
 def rows_from_ssp_summary(

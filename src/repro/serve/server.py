@@ -65,7 +65,7 @@ from typing import (
 )
 from urllib.parse import parse_qs, urlsplit
 
-from .batch import DEFAULT_MAX_BATCH, DEFAULT_TICK_S, SourceBatcher
+from .batch import DEFAULT_MAX_BATCH, Draining, SourceBatcher
 from .cache import DEFAULT_MAX_BYTES
 from .matrix import QueryFamily
 from .service import DistanceService, QueryError
@@ -257,7 +257,6 @@ class ServerConfig:
     policy: str = "strict"
     #: Execution engine for on-demand runs (``object`` or ``vector``).
     backend: str = "object"
-    tick_s: float = DEFAULT_TICK_S
     max_batch: int = DEFAULT_MAX_BATCH
     stats_path: Optional[str] = None
     #: Extra graph specs to warm (full APSP matrix) before serving.
@@ -303,7 +302,7 @@ class DistanceServer:
         )
         self.batcher = SourceBatcher(
             self._pool_rows, self._pool_full,
-            tick_s=config.tick_s, max_batch=config.max_batch,
+            pool=self.supervisor, max_batch=config.max_batch,
         )
         #: Failing families -> whether their probe compute is running.
         self._failing: Dict[QueryFamily, bool] = {}
@@ -342,12 +341,16 @@ class DistanceServer:
     async def shutdown(self) -> Dict[str, Any]:
         """Drain-first shutdown; returns a JSON-pure summary.
 
-        Order matters: stop accepting, flush open batch windows (so
-        every accepted query can be answered), wait for in-flight
-        handlers, drain and stop the worker pool, then close lingering
-        keep-alive connections and flush the stats snapshot.
+        Order matters: refuse new row misses and stop accepting, flush
+        open batch windows (so every accepted query can be answered),
+        wait for in-flight handlers, drain and stop the worker pool,
+        then close lingering keep-alive connections and flush the
+        stats snapshot.  Row misses are refused before the listener's
+        ``wait_closed()``, which on Python 3.12.1+ waits for every open
+        connection.
         """
         self._stopping = True
+        self.batcher.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -374,9 +377,14 @@ class DistanceServer:
     # -- pool-backed compute runners (the failing-family rule) ------------
 
     async def _pool_rows(
-        self, family: QueryFamily, sources: List[int]
+        self,
+        family: QueryFamily,
+        sources: List[int],
+        deadline_s: Optional[float],
     ) -> None:
-        await self._recorded(self.supervisor.rows, family, sources)
+        await self._recorded(
+            self.supervisor.rows, family, sources, deadline_s
+        )
 
     async def _pool_full(self, family: QueryFamily) -> None:
         await self._recorded(self.supervisor.full, family)
@@ -576,7 +584,7 @@ class DistanceServer:
                 {"error": f"deadline exceeded: {exc}"},
                 {"Retry-After": "1"},
             )
-        except FamilyFailing as exc:
+        except (FamilyFailing, Draining) as exc:
             return 503, {"error": str(exc)}, {"Retry-After": "1"}
         except ComputeFailed as exc:
             return 500, {"error": f"compute failed: {exc}"}, None

@@ -17,9 +17,10 @@ result into the stats and the cache in the server process.
 Two query backends exist:
 
 * ``apsp`` — unweighted hop distance.  Point and eccentricity queries
-  are served by **batched Algorithm 2 runs**: every cold source in a
-  tick becomes one member of the S-SP source set, so ``k`` concurrent
-  queries cost ``|S| + D + O(1)`` rounds instead of ``k·(D + O(1))``.
+  are served by **batched Algorithm 2 runs**: the cold sources that
+  arrive while every pool worker is busy become one S-SP source set,
+  so ``k`` overlapping queries cost ``|S| + D + O(1)`` rounds instead
+  of ``k·(D + O(1))``.
   Diameter queries need every row and run Algorithm 1 once.
 * ``weighted-apsp`` — the subdivision reduction.  It has no partial
   engine, so any miss computes (and memoizes) the full matrix.

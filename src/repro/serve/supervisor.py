@@ -185,10 +185,21 @@ class Supervisor(Pool):
         finally:
             tracer.span_end(span_id, round_no=0, rounds=rounds)
 
-    async def rows(self, family: QueryFamily, sources: List[int]) -> None:
-        """Batched row computation in the pool; merges into the cache."""
+    async def rows(
+        self,
+        family: QueryFamily,
+        sources: List[int],
+        deadline_s: Optional[float] = None,
+    ) -> None:
+        """Batched row computation in the pool; merges into the cache.
+
+        ``deadline_s`` overrides the pool's budget for this job (the
+        batcher passes what its window's wait left of it).
+        """
         job = rows_job(family, sources)
-        self.service.merge(family, job, await self.submit(job))
+        self.service.merge(
+            family, job, await self.submit(job, deadline_s=deadline_s)
+        )
 
     async def full(self, family: QueryFamily) -> None:
         """Full-matrix computation in the pool; memoizes the result."""

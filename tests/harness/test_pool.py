@@ -3,10 +3,11 @@
 Serve's contract is pinned in tests/serve/test_supervisor.py and the
 campaign's in tests/harness/test_hardening.py; these cover what only
 the pool itself can show: closing never waits out a hung job, a
-per-call deadline is named in its own failure, and blame is exact —
-an overdue job's worker dies alone.  The last two pin how the campaign
-driver uses it: any ``jobs`` count is admitted, and a retry that the
-failure limit has overtaken is skipped.
+per-call deadline is named in its own failure, blame is exact — an
+overdue job's worker dies alone — and ``idle`` hands a freed worker to
+its waiters in order and misses no settlement.  The last two pin how
+the campaign driver uses it: any ``jobs`` count is admitted, and a
+retry that the failure limit has overtaken is skipped.
 """
 
 from __future__ import annotations
@@ -83,6 +84,50 @@ def test_timeout_kills_only_the_overdue_worker():
         assert snap["completed"] == 1
 
     asyncio.run(_with_pool(body, workers=2))
+
+
+def test_idle_waits_for_a_free_worker_and_wakes_in_order():
+    async def body(pool):
+        assert await pool.idle(0.0)             # the worker is free
+        busy = asyncio.ensure_future(pool.submit(0.3))
+        await asyncio.sleep(0)                  # the job is accepted
+        assert not await pool.idle(0.05)        # every worker is busy
+        woke = []
+
+        async def waiter(name, submit):
+            assert await pool.idle(30.0)
+            woke.append(name)
+            if submit:
+                await pool.submit(0.3)
+
+        first = asyncio.ensure_future(waiter("first", True))
+        second = asyncio.ensure_future(waiter("second", False))
+        await busy
+        await asyncio.sleep(0.1)
+        # Both woke when the job settled; the first took the worker,
+        # and the second re-checked and waits for that job in turn.
+        assert woke == ["first"]
+        await asyncio.wait_for(asyncio.gather(first, second), 30.0)
+        assert woke == ["first", "second"]
+
+    asyncio.run(_with_pool(body, workers=1))
+
+
+def test_idle_wakes_on_a_settlement_in_the_next_turn():
+    # The check and the wait happen in one step: a job that settles in
+    # the turn after idle() checked must still wake it at once.
+    async def body(pool):
+        loop = asyncio.get_running_loop()
+        job = pool_module._Job(None, loop.create_future(), None)
+        pool._jobs.add(job)                     # the only worker is taken
+        waiter = asyncio.ensure_future(pool.idle(5.0))
+        await asyncio.sleep(0)                  # idle() checks: busy
+        pool._finish(job, result=None)
+        for _ in range(5):
+            await asyncio.sleep(0)
+        assert waiter.done() and waiter.result() is True
+
+    asyncio.run(_with_pool(body, workers=1))
 
 
 class _ShallowPool(Pool):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import tracemalloc
+
 from repro.graphs import bfs_distances, path_graph
+from repro.graphs.specs import parse_graph
 from repro.harness.cache import RunCache
 from repro.serve.cache import MatrixCache
-from repro.serve.matrix import QueryFamily
+from repro.serve.matrix import QueryFamily, rows_from_matrix_record
 
 
 def _rows(n):
@@ -75,3 +79,41 @@ def test_touched_family_never_evicted():
     # Over budget, but the only (and just-touched) matrix stays.
     assert cache.peek(family) is matrix
     assert len(cache) == 1
+
+
+def test_byte_budget_prices_rows_at_their_resident_size():
+    # Ten complete 64-node matrices occupy about 1.4 MiB of dicts; a
+    # row's JSON length would price them at about 275 KB.
+    graph = parse_graph("er:64:p=0.1:seed=1")
+    rows = {u: bfs_distances(graph, u) for u in graph.nodes}
+    budget = 1 << 20
+    cache = MatrixCache(max_bytes=budget)
+    for seed in range(10):
+        family = QueryFamily.make(f"er:64:p=0.1:seed={seed}")
+        cache.store_full(family, 64, rows, rounds=1)
+    assert cache.evictions > 0
+    assert cache.size_bytes <= budget
+
+
+def test_byte_budget_counts_node_ids_above_256():
+    # Rows decoded from the disk tier's JSON (or a worker's pickle)
+    # hold an int object of their own for every node id above 256; the
+    # dicts alone are about 82% of what a 400-node matrix occupies.
+    spec = "er:400:p=0.02:seed=1"
+    graph = parse_graph(spec)
+    record = json.loads(json.dumps({"distances": {
+        str(u): {str(v): d for v, d in bfs_distances(graph, u).items()}
+        for u in graph.nodes
+    }}))
+    cache = MatrixCache()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache.store_full(
+            QueryFamily.make(spec), 400, rows_from_matrix_record(record),
+            rounds=1,
+        )
+        resident = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * resident <= cache.size_bytes <= 1.1 * resident

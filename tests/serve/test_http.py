@@ -108,7 +108,7 @@ def test_batched_server_side_coalescing():
     import concurrent.futures
 
     with ServerThread(graphs=("er:32:p=0.12:seed=5",),
-                      tick_s=0.05) as handle:
+                      workers=1) as handle:
         paths = [
             f"/distance?graph=er:32:p=0.12:seed=5&source={s}&target=1"
             for s in range(2, 12)
@@ -135,7 +135,6 @@ def test_concurrent_cold_diameter_misses_share_one_job():
 
     with ServerThread(
         workers=2,
-        tick_s=0.001,
         chaos={"mode": "hang", "seconds": 0.5,
                "kinds": ["full"], "jobs": 1},
     ) as handle:

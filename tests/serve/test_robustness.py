@@ -218,7 +218,6 @@ def test_inflight_cap_sheds_with_retry_after():
     with ServerThread(
         workers=1,
         max_inflight=1,
-        tick_s=0.001,
         chaos={"mode": "hang", "seconds": 1.0,
                "kinds": ["rows"], "jobs": 1},
     ) as handle:
@@ -263,7 +262,6 @@ def test_diameter_deadline_degrades_to_two_vs_four():
         workers=1,
         deadline_s=0.4,
         retries=0,
-        tick_s=0.001,
         chaos={"mode": "hang", "seconds": 30.0,
                "kinds": ["full"], "jobs": 1},
     ) as handle:
@@ -297,7 +295,6 @@ def test_eccentricity_deadline_is_503_with_retry_after():
         workers=1,
         deadline_s=0.3,
         retries=0,
-        tick_s=0.001,
         chaos={"mode": "hang", "seconds": 30.0,
                "kinds": ["rows"], "jobs": 1},
     ) as handle:
@@ -346,7 +343,6 @@ def test_failing_family_runs_one_probe_and_recovers():
         workers=2,
         deadline_s=0.5,
         retries=0,
-        tick_s=0.001,
         chaos={"mode": "hang", "seconds": 30.0,
                "kinds": ["rows"], "jobs": 2},
     ) as handle:
@@ -396,7 +392,6 @@ def test_diameter_beside_a_probe_degrades_instead_of_503():
         workers=2,
         deadline_s=0.5,
         retries=0,
-        tick_s=0.001,
         chaos={"mode": "hang", "seconds": 30.0,
                "kinds": ["rows"], "jobs": 2},
     ) as handle:
@@ -425,7 +420,6 @@ def test_diameter_degrades_on_every_deadline_miss():
         workers=1,
         deadline_s=0.4,
         retries=0,
-        tick_s=0.001,
         chaos={"mode": "hang", "seconds": 30.0,
                "kinds": ["full"], "jobs": 4},
     ) as handle:
@@ -448,7 +442,7 @@ def test_readyz_reflects_killed_worker():
     import os
     import signal as _signal
 
-    with ServerThread(workers=2, tick_s=0.001) as handle:
+    with ServerThread(workers=2) as handle:
         status, payload = get_status(handle.url, "/readyz")
         assert status == 200
         assert payload["workers"] == {"alive": 2, "configured": 2}

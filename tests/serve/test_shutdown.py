@@ -1,18 +1,23 @@
 """``repro serve`` start-up and graceful-shutdown regression tests.
 
-Real subprocess, real signals.
+Real subprocess, real signals; the drain test uses ``ServerThread``.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 import urllib.request
 
 import pytest
+
+from repro.serve import ServerThread
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -121,3 +126,71 @@ def test_disconnected_graph_exits_1_before_ready(tmp_path):
     returncode, stderr = serve_until_exit("--graph", f"file:{edge_list}")
     assert returncode == 1
     assert "disconnected graph" in stderr
+
+
+def test_cold_miss_during_drain_is_503_and_hits_still_answer():
+    """A row miss after shutdown began is refused, never a 500."""
+    handle = ServerThread(
+        workers=1,
+        warm=("cycle:12",),
+        # The in-flight query's rows job holds the drain open for 1 s.
+        chaos={"mode": "hang", "seconds": 1.0, "kinds": ["rows"],
+               "jobs": 1},
+    ).start()
+    stopper = threading.Thread(target=handle.stop)
+    inflight = {}
+
+    def cold_query():
+        with urllib.request.urlopen(
+            handle.url + "/distance?graph=cycle:10&source=1&target=6",
+            timeout=60,
+        ) as response:
+            inflight["answer"] = (
+                response.status, json.loads(response.read().decode()),
+            )
+
+    query = threading.Thread(target=cold_query)
+    # Kept-alive connections, opened before shutdown closes the
+    # listening socket.
+    late, hit, probe = (
+        http.client.HTTPConnection("127.0.0.1", handle.port, timeout=60)
+        for _ in range(3)
+    )
+    try:
+        for conn in (late, hit, probe):
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().read()
+        query.start()
+        time.sleep(0.3)                    # its rows job is now hung
+        stopper.start()
+        for _ in range(500):               # wait until shutdown began
+            probe.request("GET", "/readyz")
+            response = probe.getresponse()
+            response.read()
+            if response.status == 503:
+                break
+            time.sleep(0.01)
+        assert response.status == 503
+        late.request("GET", "/distance?graph=cycle:10&source=2&target=6")
+        response = late.getresponse()
+        payload = json.loads(response.read().decode())
+        assert response.status == 503, payload
+        assert response.getheader("Retry-After") == "1"
+        assert response.getheader("Connection") == "close"
+        assert "shutting down" in payload["error"]
+        hit.request("GET", "/distance?graph=cycle:12&source=1&target=7")
+        response = hit.getresponse()
+        payload = json.loads(response.read().decode())
+        assert (response.status, payload["tier"]) == (200, "memory")
+        query.join(timeout=60)
+        assert not query.is_alive()
+        assert inflight["answer"][0] == 200
+        assert inflight["answer"][1]["distance"] == 5
+    finally:
+        # On Python 3.12.1+ shutdown waits for every open connection.
+        for conn in (late, hit, probe):
+            conn.close()
+        if stopper.ident is None:
+            stopper.start()
+        stopper.join(timeout=60)
+        assert not stopper.is_alive()
