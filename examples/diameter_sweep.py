@@ -33,12 +33,16 @@ def main() -> None:
     print("-" * len(header))
     for name, graph in zoo():
         true_d = graphs.diameter(graph)
-        exact_d, exact_m = core.exact_diameter(graph)
+        exact = core.run_graph_properties(graph, include_girth=False)
+        exact_d, exact_m = exact.diameter, exact.metrics
         assert exact_d == true_d
-        approx_d, approx_m = core.approx_diameter(graph, 0.5)
-        quick_d, quick_m = core.remark1_diameter(graph)
-        prt_d, prt_m = core.prt_diameter(graph)
-        combined = core.corollary1_diameter(graph)
+        approx = core.run_approx_properties(graph, 0.5)
+        approx_d, approx_m = approx.diameter_estimate, approx.metrics
+        quick, quick_m = core.run_remark1(graph)
+        quick_d = next(iter(quick.values())).diameter_estimate
+        prt = core.run_prt_diameter(graph)
+        prt_d, prt_m = prt.estimate, prt.metrics
+        combined = core.combined_diameter_estimate(graph)
         print(f"{name:<15}{true_d:>4}  "
               f"{f'{exact_d} @{exact_m.rounds}r':>11}  "
               f"{f'{approx_d} @{approx_m.rounds}r':>11}  "

@@ -162,9 +162,6 @@ def cmd_experiment(args: argparse.Namespace) -> None:
                 jobs=previous.jobs,
                 cache_dir=previous.cache_dir,
                 use_cache=previous.use_cache,
-                timeout_s=previous.timeout_s,
-                retries=previous.retries,
-                max_failures=previous.max_failures,
             )
     if failures:
         raise SystemExit(f"experiments failed checks: {failures}")

@@ -23,9 +23,10 @@ def run_algorithm(
 ) -> RunResult:
     """Build a :class:`~repro.congest.network.Network` and run it to the end.
 
-    This is the one-call form used throughout examples, tests and
-    benchmarks; see :class:`~repro.congest.network.Network` for the
-    parameter semantics.
+    This is the one-call form: every ``repro.core`` entry point runs
+    through it (via :func:`repro.core.engine.execute`), as do examples,
+    tests and benchmarks; see :class:`~repro.congest.network.Network`
+    for the parameter semantics.
     """
     network = Network(
         graph,

@@ -43,22 +43,8 @@ from .bfs import (
     run_k_bfs,
     run_tree_check,
 )
-from .center import approx_center, exact_center, remark2_center
-from .diameter import (
-    approx_diameter,
-    corollary1_diameter,
-    exact_diameter,
-    prt_diameter,
-    remark1_diameter,
-    two_vs_four,
-)
 from .dominating import DomInfo, compute_dominating_set, run_dominating_set
 from .engine import execute
-from .eccentricity import (
-    approx_eccentricities,
-    exact_eccentricities,
-    remark1_eccentricities,
-)
 from .girth import (
     GirthEstimate,
     GirthSummary,
@@ -71,18 +57,12 @@ from .leader import (
     relabel_for_apsp,
     run_leader_election,
 )
-from .peripheral import (
-    approx_peripheral,
-    exact_peripheral,
-    remark2_peripheral,
-)
 from .properties import PropertyNode, run_graph_properties
 from .prt import (
     combined_diameter_estimate,
     combined_girth_estimate,
     run_prt_diameter,
 )
-from .radius import approx_radius, exact_radius, remark1_radius
 from .results import (
     ApspResult,
     ApspSummary,
@@ -140,11 +120,6 @@ __all__ = [
     "aggregate_and_share",
     "aligned_broadcast",
     "aligned_convergecast",
-    "approx_center",
-    "approx_diameter",
-    "approx_eccentricities",
-    "approx_peripheral",
-    "approx_radius",
     "apsp_phase",
     "build_bfs_tree",
     "combine_max",
@@ -153,22 +128,10 @@ __all__ = [
     "combined_diameter_estimate",
     "combined_girth_estimate",
     "compute_dominating_set",
-    "corollary1_diameter",
     "elect_leader",
-    "exact_center",
-    "exact_diameter",
-    "exact_eccentricities",
-    "exact_peripheral",
-    "exact_radius",
     "execute",
-    "prt_diameter",
     "relabel_for_apsp",
-    "remark1_diameter",
-    "remark1_eccentricities",
-    "remark1_radius",
-    "remark2_center",
     "remark2_center_peripheral",
-    "remark2_peripheral",
     "run_all_two_bfs",
     "run_approx_girth",
     "run_approx_properties",
@@ -188,6 +151,5 @@ __all__ = [
     "run_two_vs_four",
     "smoothing_parameter",
     "ssp_main_loop",
-    "two_vs_four",
     "validate_apsp_input",
 ]

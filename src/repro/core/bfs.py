@@ -92,7 +92,7 @@ class TreeCheckNode(NodeAlgorithm):
         # Wrap: we cannot easily hook into the subroutine, so replicate
         # the detection locally — every BfsToken beyond the first round
         # of receipt (or extra same-round senders) marks a cycle.
-        token_rounds: Dict[int, int] = {}
+        heard = False
         tree = None
         gen = original_program
         try:
@@ -106,10 +106,9 @@ class TreeCheckNode(NodeAlgorithm):
                 if isinstance(msg, BfsToken) and msg.root == ROOT
             ]
             if tokens:
-                first = self.round not in token_rounds.values()
-                if len(tokens) > 1 or token_rounds:
+                if len(tokens) > 1 or heard:
                     duplicate_seen = 1
-                token_rounds[self.round] = self.round
+                heard = True
             try:
                 gen.send(inbox)
             except StopIteration as stop:

@@ -1,13 +1,10 @@
 """Shared run plumbing for every ``core.run_*`` entry point.
 
-Each of the paper's entry points used to validate its input, build a
-:class:`~repro.congest.network.Network` with the same half-dozen
-keyword arguments, and call ``.run()`` — seventeen copies of the same
-boilerplate, each one a place for a new cross-cutting kwarg (``policy``,
-``faults``, ``bandwidth_bits``) to be forgotten.  :func:`execute` is the
-single definition: input validation, Network construction and the run
-itself happen here and nowhere else, so a new simulator-wide knob is
-threaded through exactly once.
+:func:`execute` validates the input, then hands the run to
+:func:`~repro.congest.runner.run_algorithm`, the one place a
+:class:`~repro.congest.network.Network` is built from the run keywords
+(``seed``, ``policy``, ``bandwidth_bits``, ``faults``, ...), so a new
+simulator-wide knob is threaded through exactly once.
 
 The structural checks (:func:`validate_apsp_input`) also live here —
 they are shared by every algorithm that builds the paper's ``T_1`` —
@@ -20,7 +17,8 @@ from typing import Any, Mapping, Optional
 
 from ..congest.errors import GraphError
 from ..congest.faults import FaultsLike
-from ..congest.network import AlgorithmFactory, Network, RunResult
+from ..congest.network import AlgorithmFactory, RunResult
+from ..congest.runner import run_algorithm
 from ..graphs.graph import Graph
 
 #: The distinguished root (the paper assumes a node with ID 1 exists).
@@ -54,18 +52,17 @@ def execute(
     max_rounds: Optional[int] = None,
     validate: bool = True,
 ) -> RunResult:
-    """Validate, build the :class:`Network`, run it, return the outcome.
+    """Validate the input, run the algorithm, return the outcome.
 
-    This is the one place seed/policy/bandwidth/fault handling is
-    defined; every ``run_*`` entry point routes through it.  Set
+    Every ``run_*`` entry point routes through here.  Set
     ``validate=False`` for algorithms that do not require the paper's
     node-1 assumption (leader election does its own connectivity
     check).  All other keywords are forwarded verbatim to
-    :class:`~repro.congest.network.Network`.
+    :func:`~repro.congest.runner.run_algorithm`.
     """
     if validate:
         validate_apsp_input(graph)
-    network = Network(
+    return run_algorithm(
         graph,
         factory,
         inputs=inputs,
@@ -76,4 +73,3 @@ def execute(
         faults=faults,
         max_rounds=max_rounds,
     )
-    return network.run()

@@ -169,19 +169,16 @@ class ExecutionConfig:
     """Process-wide defaults for how experiment sweeps execute.
 
     Experiments that route their sweeps through :func:`run_campaign`
-    pick these up automatically; the CLI (``--jobs``/``--cache-dir``)
-    and the benchmark suite set them via :func:`configure_execution`.
-    The hardening knobs mirror :func:`repro.harness.campaign.run_tasks`:
-    a per-task wall-clock timeout, a transient-failure retry budget,
-    and a campaign-wide failure cap.
+    pick these up automatically; the CLI (``--jobs``/``--cache-dir``/
+    ``--no-cache``) and the benchmark suite set them via
+    :func:`configure_execution`.  Every other
+    :func:`repro.harness.campaign.run_tasks` setting stays at its
+    default.
     """
 
     jobs: int = 1
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    timeout_s: Optional[float] = None
-    retries: int = 0
-    max_failures: Optional[int] = None
 
 
 _EXECUTION = ExecutionConfig()
@@ -200,16 +197,12 @@ def configure_execution(
     jobs: Optional[int] = None,
     cache_dir: Any = _UNSET,
     use_cache: Optional[bool] = None,
-    timeout_s: Any = _UNSET,
-    retries: Optional[int] = None,
-    max_failures: Any = _UNSET,
 ) -> ExecutionConfig:
     """Update the execution defaults; returns the *previous* config.
 
     Only the arguments actually passed change; restore by passing the
-    returned config's fields back in.  ``timeout_s`` and
-    ``max_failures`` use a sentinel default because ``None`` is a
-    meaningful value for them (no limit).
+    returned config's fields back in.  ``cache_dir`` uses a sentinel
+    default because ``None`` is a meaningful value for it (no cache).
     """
     global _EXECUTION
     previous = _EXECUTION
@@ -220,16 +213,6 @@ def configure_execution(
         ),
         use_cache=(
             previous.use_cache if use_cache is None else bool(use_cache)
-        ),
-        timeout_s=(
-            previous.timeout_s if timeout_s is _UNSET else timeout_s
-        ),
-        retries=(
-            previous.retries if retries is None else max(0, int(retries))
-        ),
-        max_failures=(
-            previous.max_failures if max_failures is _UNSET
-            else max_failures
         ),
     )
     return previous
@@ -269,9 +252,6 @@ def run_campaign(
         use_cache=cfg.use_cache if use_cache is None else bool(use_cache),
         salt=salt,
         name=name,
-        timeout_s=cfg.timeout_s,
-        retries=cfg.retries,
-        max_failures=cfg.max_failures,
     )
     if summary.failures:
         errors = [

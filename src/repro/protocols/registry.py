@@ -45,7 +45,7 @@ CAPABILITIES = frozenset({"faults", "trace", "girth", "weighted", "vector"})
 
 
 def numpy_available() -> bool:
-    """Whether the optional numpy dependency imports."""
+    """Whether the optional numpy dependency is installed."""
     from ..vector import HAS_NUMPY
 
     return HAS_NUMPY
@@ -174,7 +174,7 @@ class Protocol:
         """The backends this protocol can actually run on right now.
 
         ``vector`` is reported only when the protocol declares the
-        capability *and* numpy imports — this is what the CLI and the
+        capability *and* numpy is installed — this is what the CLI and the
         capability listings surface.
         """
         if "vector" in self.capabilities and numpy_available():

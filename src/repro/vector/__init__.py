@@ -18,8 +18,11 @@ per-edge cumulative bits — as the object engine, pinned by the golden
 equivalence fixtures and a cross-backend hypothesis property test.
 
 numpy is an *optional* dependency (``pip install "repro[vector]"``).
-Importing this package never fails; calling an entry point without
-numpy raises :class:`VectorBackendUnavailable` naming the install extra.
+Importing this package never fails and never imports numpy: it only
+looks numpy up (:data:`HAS_NUMPY`), so object-backend processes stay
+numpy-free.  The engine imports numpy when the first vector run starts;
+calling an entry point without numpy raises
+:class:`VectorBackendUnavailable` naming the install extra.
 What the vector backend deliberately does **not** support (the object
 engine remains the reference for these): fault injection, non-strict
 bandwidth policies, the ``priority="id"`` S-SP rule, and tracing.
@@ -28,13 +31,13 @@ Unsupported requests raise :class:`VectorBackendError`.
 
 from __future__ import annotations
 
+import importlib.util
 from typing import Any
 
+#: Whether numpy is installed; found without importing it.
 try:  # pragma: no cover - trivially environment-dependent
-    import numpy  # noqa: F401
-
-    HAS_NUMPY = True
-except ImportError:  # pragma: no cover
+    HAS_NUMPY = importlib.util.find_spec("numpy") is not None
+except (ImportError, ValueError):  # pragma: no cover
     HAS_NUMPY = False
 
 #: The pip extra that pulls in the vector backend's only dependency.
@@ -59,15 +62,13 @@ class VectorBackendUnavailable(VectorBackendError):
 
 
 def require_numpy() -> None:
-    """Raise :class:`VectorBackendUnavailable` unless numpy imports."""
+    """Raise :class:`VectorBackendUnavailable` unless numpy is installed."""
     if not HAS_NUMPY:
         raise VectorBackendUnavailable(NUMPY_HINT)
 
 
 def _load_engine():
     require_numpy()
-    import importlib
-
     return importlib.import_module(__name__ + "._engine")
 
 

@@ -109,3 +109,48 @@ def test_ssp_backends_agree(spec, data):
 def test_properties_backends_agree(spec, girth):
     graph = parse_graph(spec)
     _both("properties", graph, {"include_girth": girth})
+
+
+#: Fixed graphs beside the hypothesis strategy above: the extremes of D
+#: (paths down to one node, a star, a complete graph), odd and even
+#: cycles, grids, a tree, and a few ER and diameter-2/4 instances.
+FIXED_SPECS = [
+    "path:1", "path:2", "path:5", "cycle:6", "cycle:7", "star:8",
+    "complete:5", "grid:4x5", "torus:4x6", "tree:2:3",
+    "er:20:p=0.2:seed=5", "er:24:p=0.15:seed=2", "er:32:p=0.15:seed=1",
+    "diameter2:16", "diameter4:16",
+]
+
+
+def _parts(outcome):
+    """The results, metrics dict and sources of an entry point's return."""
+    if isinstance(outcome, tuple):  # run_bfs returns (results, metrics)
+        results, metrics = outcome
+        return results, metrics.to_dict(), None
+    return (outcome.results, outcome.metrics.to_dict(),
+            getattr(outcome, "sources", None))
+
+
+@pytest.mark.parametrize("spec", FIXED_SPECS)
+def test_entry_points_agree_on_fixed_graphs(spec):
+    # Every vector twin against its object entry point, with the flags
+    # the registry does not expose (``track_edges``) and several S-SP
+    # source sets.
+    from repro import core, vector
+
+    graph = parse_graph(spec)
+    nodes = list(graph.nodes)
+    calls = [("run_bfs", (), {}), ("run_exact_girth", (), {})]
+    calls += [("run_apsp", (), {"collect_girth": girth, "track_edges": track})
+              for girth in (False, True) for track in (False, True)]
+    calls += [("run_graph_properties", (), {"include_girth": girth})
+              for girth in (True, False)]
+    calls += [("run_ssp", ([nodes[i] for i in ids],), {"track_edges": track})
+              for ids in ([0], [0, 2, 3], [1, 4, 8]) if max(ids) < len(nodes)
+              for track in (False, True)]
+    for name, args, kwargs in calls:
+        obj = getattr(core, name)(graph, *args, **kwargs)
+        vec = getattr(vector, name)(graph, *args, **kwargs)
+        assert _canonical(_parts(vec)) == _canonical(_parts(obj)), (
+            f"{name}{args} {kwargs}: backends diverged on {spec}"
+        )

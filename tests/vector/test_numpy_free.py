@@ -10,11 +10,17 @@ numpy`` into an ImportError — that:
 * asking for the vector backend fails with the message that names the
   ``vector`` install extra;
 * nothing on the object path imports numpy as a side effect.
+
+With numpy installed and unblocked, the object path still loads none of
+it: ``repro.vector`` only looks numpy up.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -66,9 +72,23 @@ print("OK")
 """
 
 
-def test_object_path_is_numpy_free():
+INSTALLED_SCRIPT = """
+import sys
+from repro import protocols
+from repro.graphs.specs import parse_graph
+
+outcome = protocols.run("apsp", parse_graph("path:6"), {})
+assert outcome.metrics.rounds > 0
+assert "vector" in protocols.get("apsp").available_backends()
+loaded = [m for m in sys.modules if m == "numpy" or m.startswith("numpy.")]
+assert not loaded, f"the object path loaded {len(loaded)} numpy modules"
+print("OK")
+"""
+
+
+def _run(script):
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT],
+        [sys.executable, "-c", script],
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         capture_output=True,
         text=True,
@@ -76,3 +96,13 @@ def test_object_path_is_numpy_free():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "OK"
+
+
+def test_object_path_is_numpy_free():
+    _run(SCRIPT)
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numpy") is None,
+                    reason="numpy is not installed")
+def test_object_path_leaves_installed_numpy_unloaded():
+    _run(INSTALLED_SCRIPT)
