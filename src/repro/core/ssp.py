@@ -33,6 +33,25 @@ Implementation notes:
   follow the pseudocode line by line (Lines 13–29); each edge carries at
   most one :class:`~repro.core.messages.OfferMsg` per direction per
   round — comfortably within ``B``.
+* Each ``L_i`` is a set of queued ids plus a heap of ``(rank, id)``
+  entries with lazy deletion.  The rank is ``δ[id] + 1`` under the
+  default rule, so entries order exactly like the offers ``(dist, id)``,
+  and a constant ``0`` under ``priority="id"``, so they order by id
+  alone.  The top entry whose id is still queued is the list's
+  highest-priority id.  A strict improvement pushes a fresh entry on
+  every edge where the id is queued, the new parent's edge included;
+  the stale entry ranks lower and is dropped when it surfaces.  Keys
+  stay tuples because graph ids are arbitrary positive ints.
+* Work follows the offers.  The loop keeps the set of neighbors whose
+  list is non-empty and offers only on those, a round with no such
+  neighbor and an empty inbox only yields, and receipts are walked by
+  sender rather than by neighbor.  With one or two sources on
+  ``er:64:p=0.1`` (the rows behind a cold ``repro serve`` query), 69% of
+  node-rounds neither send nor receive anything.
+* One offer per (source, distance): the frozen ``OfferMsg`` is built
+  when a distance is set or improves, and that same object goes out on
+  every edge, as :func:`~repro.core.subroutines.build_bfs_tree` shares
+  one token per flood.
 * The initialization phase reuses
   :func:`~repro.core.subroutines.build_bfs_tree` with a membership mark,
   which simultaneously gives every node ``ecc(1)`` (hence ``D0``) **and**
@@ -51,7 +70,8 @@ can run S-SP phases over computed dominating sets.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..congest.errors import GraphError
 from ..congest.faults import FaultsLike
@@ -110,124 +130,114 @@ def ssp_main_loop(
             size_s=size_s, duration=duration,
         )
     outcome = SspPhaseOutcome()
-    known: Set[int] = set()        # the set L
-    pending: Dict[int, Set[int]] = {nb: set() for nb in node.neighbors}
-    if in_s:
-        known.add(node.uid)
-        outcome.distances[node.uid] = 0
-        outcome.parents[node.uid] = None
-        for nb in node.neighbors:
-            pending[nb].add(node.uid)
-
-    def offer_key(source: int) -> Tuple[int, ...]:
-        if priority == PRIORITY_ID:
-            return (source,)
-        return (outcome.distances[source] + 1, source)
-
-    def wire_key(message: OfferMsg) -> Tuple[int, ...]:
-        if priority == PRIORITY_ID:
-            return (message.source,)
-        return (message.dist, message.source)
-
+    distances = outcome.distances
+    parents = outcome.parents
+    literal = priority == PRIORITY_ID
+    neighbors = node.neighbors
+    # The lists L_i: per neighbor, the queued source ids and a heap of
+    # (rank, source) entries over them (see the module notes).
+    pending: Dict[int, Set[int]] = {nb: set() for nb in neighbors}
+    heaps: Dict[int, List[Tuple[int, int]]] = {nb: [] for nb in neighbors}
+    busy: Set[int] = set()             # neighbors whose L_i is non-empty
+    offers: Dict[int, OfferMsg] = {}   # source -> the offer sent for it
     #: source -> sender -> smallest offered dist (cycle detection only).
     seen_offers: Dict[int, Dict[int, int]] = {}
 
+    if in_s:
+        uid = node.uid
+        distances[uid] = 0
+        parents[uid] = None
+        offers[uid] = OfferMsg(source=uid, dist=1)
+        entry = (0 if literal else 1, uid)
+        for nb in neighbors:
+            pending[nb].add(uid)
+            heaps[nb].append(entry)
+        busy.update(neighbors)
+
     for _ in range(duration):
-        # Lines 14–17: offer the highest-priority pending id per neighbor.
-        offered: Dict[int, Optional[OfferMsg]] = {}
-        for nb in node.neighbors:
-            if pending[nb]:
-                best = min(pending[nb], key=offer_key)
-                message = OfferMsg(
-                    source=best,
-                    dist=outcome.distances[best] + 1,
-                )
-                offered[nb] = message
-                node.send(nb, message)
-            else:
-                offered[nb] = None  # l_i = ∞: nothing on the wire
+        # Lines 14–17: offer each busy edge its highest-priority pending
+        # id, and take it off the list at once.
+        sent: Dict[int, int] = {}
+        if busy:
+            for nb in sorted(busy):
+                queue = pending[nb]
+                heap = heaps[nb]
+                while heap[0][1] not in queue:
+                    heappop(heap)   # an older entry of a re-keyed id
+                source = heappop(heap)[1]
+                node.send(nb, offers[source])
+                sent[nb] = source
+                queue.discard(source)
+                if not queue:
+                    busy.discard(nb)
+                    heap.clear()
         inbox = yield
+        if not inbox:
+            continue
         received: Dict[int, OfferMsg] = {}
         for sender, msg in inbox.items():
             if isinstance(msg, OfferMsg):
                 received[sender] = msg
-        if priority == PRIORITY_DIST_ID:
-            # Dequeue everything sent this round BEFORE processing any
-            # receipt: an improvement arriving from one neighbor may
-            # re-queue the same source for another, and that fresh entry
-            # must not be swallowed by the post-send removal.
-            for nb in node.neighbors:
-                mine = offered[nb]
-                if mine is not None:
-                    pending[nb].discard(mine.source)
-        # Lines 18–29, neighbors in ascending id order (the paper's
+        # Lines 18–29, senders in ascending id order (the paper's
         # v_1 .. v_d(v) indexing).
-        for nb in node.neighbors:
-            incoming = received.get(nb)
-            mine = offered[nb]
-            if incoming is not None and detect_cycles:
+        for sender, incoming in received.items():
+            source = incoming.source
+            dist = incoming.dist
+            if detect_cycles:
                 # Remember the best offer per (source, sender); cycle
                 # candidates are assembled at the end of the phase from
                 # *final* distances, excluding each source's final parent
                 # edge (whose offer would describe a degenerate walk).
-                per_sender = seen_offers.setdefault(incoming.source, {})
-                old = per_sender.get(nb)
-                if old is None or incoming.dist < old:
-                    per_sender[nb] = incoming.dist
-
-            if priority == PRIORITY_ID:
-                # The paper's literal blocking semantics: the smaller id
-                # wins the edge; the loser's content is DROPPED and the
-                # loser retries (Lines 19 / 26).  Only the first receipt
-                # of an id ever counts.
-                if incoming is not None and (
-                    mine is None or wire_key(incoming) < wire_key(mine)
-                ):
-                    if incoming.source not in known:
-                        outcome.distances[incoming.source] = incoming.dist
-                        outcome.parents[incoming.source] = nb
-                        known.add(incoming.source)
-                        if tracer is not None:
-                            tracer.event("wave_adopt", node=node.uid,
-                                         round_no=node.round,
-                                         source=incoming.source,
-                                         dist=incoming.dist)
-                        if depth_limit is None or \
-                                incoming.dist < depth_limit:
-                            for other in node.neighbors:
-                                if other != nb:
-                                    pending[other].add(incoming.source)
-                elif mine is not None:
-                    pending[nb].discard(mine.source)
-                continue
-
-            # Corrected (Lenzen–Peleg) semantics: edges are full duplex
-            # in CONGEST, so nothing blocks — every staged offer leaves
-            # the queue (dequeued below, before any receipt processing),
-            # and every received entry is min-merged.  A strict
-            # improvement is re-queued for the other neighbors and
-            # overtakes stale copies by its higher priority.
-            if incoming is not None:
-                best = outcome.distances.get(incoming.source)
-                if best is None or incoming.dist < best:
-                    outcome.distances[incoming.source] = incoming.dist
-                    outcome.parents[incoming.source] = nb
-                    known.add(incoming.source)
-                    if tracer is not None:
-                        tracer.event("wave_adopt", node=node.uid,
-                                     round_no=node.round,
-                                     source=incoming.source,
-                                     dist=incoming.dist)
-                    if depth_limit is None or incoming.dist < depth_limit:
-                        # k-BFS truncation (Definition 7): nodes at the
-                        # cut-off depth do not extend the wave further.
-                        for other in node.neighbors:
-                            if other != nb:
-                                pending[other].add(incoming.source)
+                per_sender = seen_offers.setdefault(source, {})
+                old = per_sender.get(sender)
+                if old is None or dist < old:
+                    per_sender[sender] = dist
+            if literal:
+                # The paper's blocking semantics: the smaller id wins the
+                # edge; the loser's content is DROPPED and the loser
+                # retries (Lines 19 / 26), so a beaten offer of ours goes
+                # back on its list.  Only the first receipt of an id
+                # ever counts.
+                mine = sent.get(sender)
+                if mine is not None:
+                    if source >= mine:
+                        continue
+                    pending[sender].add(mine)
+                    heappush(heaps[sender], (0, mine))
+                    busy.add(sender)
+                if source in distances:
+                    continue
+            else:
+                # Corrected (Lenzen–Peleg) semantics: edges are full
+                # duplex in CONGEST, so nothing blocks — every staged
+                # offer left its list when it was sent, and every
+                # received entry is min-merged.  A strict improvement is
+                # re-queued for the other neighbors and overtakes stale
+                # copies by its higher priority.
+                best = distances.get(source)
+                if best is not None and dist >= best:
+                    continue
+            distances[source] = dist
+            parents[source] = sender
+            if tracer is not None:
+                tracer.event("wave_adopt", node=node.uid,
+                             round_no=node.round, source=source, dist=dist)
+            offers[source] = OfferMsg(source=source, dist=dist + 1)
+            # k-BFS truncation (Definition 7): nodes at the cut-off depth
+            # do not extend the wave further.  Wherever the source is
+            # still queued — the new parent's edge included — its entry
+            # is re-keyed to the improved distance.
+            extend = depth_limit is None or dist < depth_limit
+            entry = (0 if literal else dist + 1, source)
+            for other in neighbors:
+                if (extend and other != sender) or source in pending[other]:
+                    pending[other].add(source)
+                    heappush(heaps[other], entry)
+                    busy.add(other)
 
     if loop_span is not None:
         tracer.span_end(loop_span, round_no=node.round,
-                        known=len(outcome.distances))
+                        known=len(distances))
     if detect_cycles:
         # Walk: me → s (final δ[s]) + edge to sender + sender → s at the
         # time of the offer (dist - 1); genuine because the final parent

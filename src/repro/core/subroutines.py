@@ -156,6 +156,8 @@ def build_bfs_tree(
     # --- Phase 1: wave, adoption, child discovery -------------------------
     while depth is None:
         inbox = yield
+        if not inbox:
+            continue
         tokens = [
             (sender, msg)
             for sender, msg in inbox.items()
@@ -168,9 +170,10 @@ def build_bfs_tree(
         parent = min(first_senders)
         node.send(parent, JoinMsg(root=root))
         suppressed = set(first_senders)
+        token = BfsToken(root=root, dist=depth)
         for neighbor in node.neighbors:
             if neighbor not in suppressed:
-                node.send(neighbor, BfsToken(root=root, dist=depth))
+                node.send(neighbor, token)
 
     # A child adopts one round after our flood and its JoinMsg needs one
     # more round to travel back, so joins land exactly two rounds after we
@@ -178,6 +181,8 @@ def build_bfs_tree(
     joined = []
     for _ in range(2):
         inbox = yield
+        if not inbox:
+            continue
         joined.extend(
             sender
             for sender, msg in inbox.items()
@@ -191,6 +196,8 @@ def build_bfs_tree(
     agg_marked = mark_value
     while pending:
         inbox = yield
+        if not inbox:
+            continue
         for sender, msg in inbox.items():
             if isinstance(msg, EchoMsg) and msg.root == root and sender in pending:
                 pending.discard(sender)
@@ -204,6 +211,8 @@ def build_bfs_tree(
         sync: Optional[SyncMsg] = None
         while sync is None:
             inbox = yield
+            if not inbox:
+                continue
             for _, msg in inbox.items():
                 if isinstance(msg, SyncMsg) and msg.root == root:
                     sync = msg
@@ -267,6 +276,8 @@ def aligned_broadcast(
         received = None
         while received is None:
             inbox = yield
+            if not inbox:
+                continue
             for _, msg in inbox.items():
                 if isinstance(msg, DownMsg) and msg.root == tree.root:
                     received = msg.value
@@ -294,6 +305,8 @@ def aligned_convergecast(
     accumulated = value
     while pending:
         inbox = yield
+        if not inbox:
+            continue
         for sender, msg in inbox.items():
             if isinstance(msg, UpMsg) and msg.root == tree.root and sender in pending:
                 pending.discard(sender)

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 #: Invalidation salt for the run cache.  Bump on any change that can
 #: alter the outputs of a simulation (round counts, metrics, results).
-CODE_VERSION = "hw12-harness-1"
+CODE_VERSION = "hw12-harness-2"
 
 
 def canonical_json(payload: Any) -> str:

@@ -12,6 +12,7 @@ from repro.obs.invariants import (
     lemma1_collisions,
     max_wave_delay,
     pebble_hops_per_round,
+    ssp_phase_delays,
     ssp_source_count,
     wave_delays,
 )
@@ -123,6 +124,74 @@ class TestTheorem3:
             if r.name == "theorem3_wave_delay_bound"
         )
         assert not result.ok
+
+
+def _phases_trace(second_delay):
+    """Two fabricated S-SP phases: |S| = 2 from round 10, |S| = 5 from 30.
+
+    Node 2 adopts source 1 at distance 1 in each phase; the second
+    adoption arrives ``second_delay`` rounds late.
+    """
+    from repro.obs.tracer import ObsRecord
+
+    def start(round_no, size_s):
+        return ObsRecord("event", "ssp_loop_start", round_no, 2, None,
+                         {"size_s": size_s, "duration": 12, "in_s": False})
+
+    def adopt(round_no):
+        return ObsRecord("event", "wave_adopt", round_no, 2, None,
+                         {"source": 1, "dist": 1})
+
+    return Trace(
+        n=2, m=1, bandwidth_bits=48, rounds=60,
+        messages=[], spans=[], queue_depths={},
+        events=[start(10, 2), adopt(11), start(30, 5),
+                adopt(31 + second_delay)],
+    )
+
+
+def _theorem3(trace):
+    return next(
+        r for r in check(trace) if r.name == "theorem3_wave_delay_bound"
+    )
+
+
+class TestTheorem3PerPhase:
+    """Each S-SP phase is measured from its own start, against its own |S|."""
+
+    @pytest.mark.parametrize("run, expected", [
+        # (start round, |S|, worst delay) per phase.
+        (lambda: core.run_approx_girth(parse_graph("torus:6x6"), 0.5),
+         [(51, 9, 4), (117, 18, 10)]),
+        (lambda: core.run_prt_diameter(parse_graph("er:40:p=0.08:seed=3")),
+         [(23, 15, 12), (66, 1, 0), (115, 31, 24)]),
+    ], ids=["girth-approx", "prt-diameter"])
+    def test_multi_phase_runs_pass(self, run, expected):
+        trace = _capture(run)
+        phases = ssp_phase_delays(trace)
+        assert [(p.start_round, p.size_s, max(p.delays.values()))
+                for p in phases] == expected
+        assert all(d >= 0 for p in phases for d in p.delays.values())
+        worst = max(delay for _, _, delay in expected)
+        assert max_wave_delay(trace) == worst
+        assert trace.summary_dict()["max_wave_delay"] == worst
+        assert all(result.ok for result in check(trace))
+
+    def test_second_phase_over_its_own_bound_fails(self):
+        result = _theorem3(_phases_trace(second_delay=6))
+        assert not result.ok
+        assert "from round 30" in result.detail
+        assert "max wave delay 6 rounds (bound |S| = 5)" in result.detail
+
+    def test_second_phase_over_the_first_bound_only_passes(self):
+        trace = _phases_trace(second_delay=4)
+        assert wave_delays(trace) == {(2, 1): 4}
+        result = _theorem3(trace)
+        assert result.ok
+        assert result.detail == (
+            "tightest of 2 phases, from round 30: "
+            "max wave delay 4 rounds (bound |S| = 5)"
+        )
 
 
 class TestSummaryDigest:

@@ -283,6 +283,17 @@ class TestTraceCommand:
         assert "theorem3_wave_delay_bound" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("argv", [
+        ["girth-approx", "torus:6x6", "--epsilon", "0.5"],
+        ["prt-diameter", "er:40:p=0.08:seed=3"],
+    ])
+    def test_multi_phase_summary_passes_theorem3(self, argv, capsys):
+        # Each S-SP phase answers to its own |S| (exit 0 is asserted).
+        out = self.run(["trace", "run", *argv, "--export", "summary"],
+                       capsys)
+        assert "[ok ] theorem3_wave_delay_bound: tightest of" in out
+        assert "FAIL" not in out
+
     def test_tracing_leaves_globals_clean(self, capsys):
         from repro.congest import network as network_mod
         from repro.obs import is_enabled
