@@ -46,6 +46,7 @@ from . import graphs, protocols
 from .graphs.specs import GraphSpecError
 from .graphs.specs import parse_graph as _parse_graph_spec
 from .protocols import TaskError
+from .protocols.params import BACKENDS
 
 
 def parse_graph(spec: str) -> graphs.Graph:
@@ -338,13 +339,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     algorithm choices are the registry entries carrying the ``trace``
     capability.
     """
-    from . import obs
+    from . import obs, vector
 
-    if getattr(args, "backend", "object") != "object":
-        raise SystemExit(
-            "trace capture requires --backend=object: the vector engine "
-            "computes whole rounds at once and records no per-event trace"
-        )
+    if args.backend == "vector":
+        raise SystemExit(vector.unsupported(trace=True))
     graph = parse_graph(args.graph)
     faults = None
     if args.faults:
@@ -589,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--backend", choices=["object", "vector"],
+        p.add_argument("--backend", choices=BACKENDS,
                        default="object",
                        help="execution engine: 'object' (reference "
                             "simulator) or 'vector' (numpy round engine; "
@@ -667,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true",
                    help="record a repro-trace/1 summary per task into "
                         "the result store (see docs/observability.md)")
-    p.add_argument("--backend", choices=["object", "vector"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default=None,
                    help="execution engine for every task (overrides "
                         "the spec's 'backend' field)")
@@ -728,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", default=None,
                    help="comma-separated subset of the pinned suite "
                         "(large-n vector workloads are opt-in by name)")
-    p.add_argument("--backend", choices=["object", "vector"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default=None,
                    help="force every selected workload onto this "
                         "execution engine (default: each workload's "
@@ -773,7 +771,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max sources per batched run (default %(default)s)")
     p.add_argument("--policy", default=config.policy,
                    help="bandwidth policy for on-demand runs")
-    p.add_argument("--backend", choices=["object", "vector"],
+    p.add_argument("--backend", choices=BACKENDS,
                    default=config.backend,
                    help="execution engine for on-demand runs "
                         "(vector needs the 'vector' install extra)")

@@ -74,12 +74,13 @@ def _normalize_backend(
 ) -> str:
     """Validate a spec-level backend choice against the environment.
 
-    Rejecting ``"vector"`` here — unknown name, numpy missing, or a
-    combination the vector engine cannot honor (faults, tracing) —
-    means a bad campaign dies with one actionable :class:`SpecError`
-    before any worker spawns, instead of n failing tasks.
+    Rejecting ``"vector"`` here — unknown name, or a request the vector
+    engine cannot run (:func:`repro.vector.unsupported`) — means a bad
+    campaign dies with one actionable :class:`SpecError` before any
+    worker spawns, instead of n failing tasks.
     """
     from ..protocols.params import BACKENDS
+    from ..vector import unsupported
 
     backend = str(value)
     if backend not in BACKENDS:
@@ -87,25 +88,9 @@ def _normalize_backend(
             f"unknown backend {backend!r}; expected one of {list(BACKENDS)}"
         )
     if backend == "vector":
-        from ..vector import HAS_NUMPY, INSTALL_EXTRA
-
-        if not HAS_NUMPY:
-            raise SpecError(
-                f"backend 'vector' requires numpy; install the "
-                f"'{INSTALL_EXTRA}' extra "
-                f"(pip install \"repro[{INSTALL_EXTRA}]\") "
-                f"or drop the backend field"
-            )
-        if faults is not None:
-            raise SpecError(
-                "backend 'vector' does not support fault injection; "
-                "use the object backend for faulty campaigns"
-            )
-        if trace:
-            raise SpecError(
-                "backend 'vector' does not support trace capture; "
-                "use the object backend for traced campaigns"
-            )
+        reason = unsupported(faults=faults, trace=trace)
+        if reason is not None:
+            raise SpecError(reason)
     return backend
 
 
@@ -290,12 +275,10 @@ class CampaignSpec:
         cache key, so traced and untraced sweeps never share records —
         and their stored records gain a deterministic ``trace`` summary
         (the :meth:`repro.obs.session.Trace.summary_dict` digest).
+        Validated exactly as the ``"trace"`` spec field would be, so a
+        vector spec cannot be traced.
         """
-        if trace and self.backend == "vector":
-            raise SpecError(
-                "backend 'vector' does not support trace capture; "
-                "use the object backend for traced campaigns"
-            )
+        _normalize_backend(self.backend, faults=self.faults, trace=trace)
         return replace(self, trace=bool(trace))
 
     def with_faults(self, faults: Any) -> "CampaignSpec":

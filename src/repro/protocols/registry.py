@@ -44,13 +44,6 @@ from .params import CommonParams, ParamSpec, split_common, validate_params
 CAPABILITIES = frozenset({"faults", "trace", "girth", "weighted", "vector"})
 
 
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency is installed."""
-    from ..vector import HAS_NUMPY
-
-    return HAS_NUMPY
-
-
 @dataclass(frozen=True)
 class RunRequest:
     """One validated request to run a protocol on a graph."""
@@ -177,7 +170,9 @@ class Protocol:
         capability *and* numpy is installed — this is what the CLI and the
         capability listings surface.
         """
-        if "vector" in self.capabilities and numpy_available():
+        from ..vector import unsupported
+
+        if "vector" in self.capabilities and unsupported() is None:
             return ("object", "vector")
         return ("object",)
 
@@ -194,21 +189,11 @@ class Protocol:
                 f"this protocol; vector-capable protocols: "
                 f"{vector_capable}"
             )
-        if not numpy_available():
-            from ..vector import NUMPY_HINT
+        from ..vector import unsupported
 
-            raise ParamError(f"{self.name}: {NUMPY_HINT}")
-        if common.faults is not None:
-            raise ParamError(
-                f"{self.name}: backend 'vector' does not support fault "
-                f"injection; use backend 'object' for faulty networks"
-            )
-        if common.policy != "strict":
-            raise ParamError(
-                f"{self.name}: backend 'vector' supports only the "
-                f"'strict' bandwidth policy, got {common.policy!r}; "
-                f"use backend 'object'"
-            )
+        reason = unsupported(faults=common.faults, policy=common.policy)
+        if reason is not None:
+            raise ParamError(f"{self.name}: {reason}")
 
     def request(
         self, graph: Graph, params: Optional[Mapping[str, Any]] = None

@@ -6,9 +6,9 @@ the Lemma 2–7 property epilogue and exact girth) as batched numpy array
 operations over a CSR-style adjacency structure, instead of stepping one
 Python generator per node per round.  The message *schedules* of those
 protocols are closed-form functions of the distance matrix and the
-``T_1`` pebble traversal, so whole runs collapse into a handful of
-``bincount``/matmul passes — 10–50× faster at ``n ≥ 512`` and practical
-at ``n = 2048+``.
+``T_1`` pebble traversal, so whole runs collapse into one bit-parallel
+BFS and a handful of ``bincount`` passes — 10–50× faster at
+``n ≥ 512`` and practical at ``n = 2048+``.
 
 The contract is byte-identical observability: every entry point returns
 the same result objects and the same
@@ -24,15 +24,19 @@ numpy-free.  The engine imports numpy when the first vector run starts;
 calling an entry point without numpy raises
 :class:`VectorBackendUnavailable` naming the install extra.
 What the vector backend deliberately does **not** support (the object
-engine remains the reference for these): fault injection, non-strict
-bandwidth policies, the ``priority="id"`` S-SP rule, and tracing.
-Unsupported requests raise :class:`VectorBackendError`.
+engine remains the reference for these) is stated once, in
+:func:`unsupported`: fault injection, non-strict bandwidth policies,
+the ``priority="id"`` S-SP rule, and tracing.  Every layer that offers
+the backend asks it and raises its own error type; the entry points
+here raise :class:`VectorBackendError`.
 """
 
 from __future__ import annotations
 
 import importlib.util
-from typing import Any
+from typing import Any, Optional
+
+from ..core.ssp import PRIORITY_DIST_ID
 
 #: Whether numpy is installed; found without importing it.
 try:  # pragma: no cover - trivially environment-dependent
@@ -61,10 +65,47 @@ class VectorBackendUnavailable(VectorBackendError):
     """numpy is not importable, so the vector backend cannot run."""
 
 
+def unsupported(*, faults: Any = None, policy: str = "strict",
+                priority: Optional[str] = None,
+                trace: bool = False) -> Optional[str]:
+    """Why the vector backend cannot run this request, or ``None``.
+
+    The one statement of the backend's limits: numpy installed, no
+    fault injection, the ``strict`` policy, the ``dist_id`` S-SP
+    priority, and no trace capture.
+    """
+    if not HAS_NUMPY:
+        return NUMPY_HINT
+    if faults is not None:
+        return (
+            "the vector backend does not support fault injection; "
+            "use the object backend for faulty networks"
+        )
+    if policy != "strict":
+        return (
+            f"the vector backend supports only the 'strict' bandwidth "
+            f"policy, not {policy!r}; use the object backend"
+        )
+    if priority not in (None, PRIORITY_DIST_ID):
+        return (
+            f"the vector backend supports only the corrected "
+            f"{PRIORITY_DIST_ID!r} S-SP priority rule, not {priority!r}; "
+            f"use the object backend"
+        )
+    if trace:
+        return (
+            "the vector backend does not support trace capture: it "
+            "computes whole rounds at once and records no per-event "
+            "trace; use the object backend"
+        )
+    return None
+
+
 def require_numpy() -> None:
     """Raise :class:`VectorBackendUnavailable` unless numpy is installed."""
-    if not HAS_NUMPY:
-        raise VectorBackendUnavailable(NUMPY_HINT)
+    reason = unsupported()
+    if reason is not None:
+        raise VectorBackendUnavailable(reason)
 
 
 def _load_engine():

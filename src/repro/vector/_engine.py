@@ -26,8 +26,9 @@ algorithms send is a *closed-form function* of the BFS distance matrix
   single vectorized argmin.
 
 Whole runs therefore collapse into a few ``bincount`` passes over
-delivery-round arrays, with the distance matrix computed by blocked
-boolean matrix products.  Counter fidelity notes:
+delivery-round arrays, with the distance matrix computed by one
+bit-parallel multi-source BFS (:func:`_bfs_depths`).  Counter fidelity
+notes:
 
 * Per directed edge and round these schedules deliver at most one
   message, **except** in the APSP phase where a wave token may share an
@@ -35,9 +36,9 @@ boolean matrix products.  Counter fidelity notes:
   coincidences are detected explicitly, so ``max_edge_*_in_round`` is
   exact.  Distinct wave tokens never collide (the paper's Lemma 1); a
   tripwire re-verifies this exhaustively on small inputs.
-* Bandwidth overflow is still detected (against the same budget), but
-  the error may name a different witnessing edge/round than the object
-  engine, which stops at the first offending round.
+* A bandwidth overflow names the object engine's witness: the first
+  round with an edge over budget, its smallest such edge, and that
+  edge-round's bits.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from ..core.results import (
 )
 from ..core.ssp import PRIORITY_DIST_ID
 from ..graphs.graph import Graph
-from . import VectorBackendError
+from . import VectorBackendError, unsupported
 
 #: Upper bound on (rows × directed edges) entries held live per chunk of
 #: the wave sweep — keeps peak memory near 100 MB at n = 2048.
@@ -89,26 +90,12 @@ _LEMMA1_CHECK_LIMIT = 1 << 18
 _NO_CANDIDATE = np.iinfo(np.int64).max
 
 
-def _check_supported(*, policy: str, faults, track_edges: bool = False,
+def _check_supported(*, policy: str, faults,
                      priority: Optional[str] = None) -> None:
     """Reject the object-engine-only features up front, loudly."""
-    del track_edges  # supported; listed for signature symmetry
-    if faults is not None:
-        raise VectorBackendError(
-            "the vector backend does not support fault injection; "
-            "run with --backend=object for faulty networks"
-        )
-    if policy != "strict":
-        raise VectorBackendError(
-            f"the vector backend supports only the 'strict' bandwidth "
-            f"policy, not {policy!r}; run with --backend=object"
-        )
-    if priority is not None and priority != PRIORITY_DIST_ID:
-        raise VectorBackendError(
-            f"the vector backend supports only the corrected "
-            f"{PRIORITY_DIST_ID!r} S-SP priority rule, not {priority!r}; "
-            f"run with --backend=object"
-        )
+    reason = unsupported(faults=faults, policy=policy, priority=priority)
+    if reason is not None:
+        raise VectorBackendError(reason)
 
 
 class _Csr:
@@ -121,7 +108,7 @@ class _Csr:
 
     __slots__ = (
         "n", "ids", "indptr", "indices", "src", "dst", "edge_key",
-        "in_order", "in_indptr", "root_idx",
+        "in_order", "in_indptr", "root_idx", "m2",
     )
 
     def __init__(self, graph: Graph) -> None:
@@ -137,6 +124,8 @@ class _Csr:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         m2 = int(indptr[-1])
+        #: Number of directed edges (2·|E|).
+        self.m2 = m2
         self.indptr = indptr
         self.indices = np.fromiter(
             (index[w] for nbrs in neighbor_lists for w in nbrs),
@@ -155,11 +144,6 @@ class _Csr:
         self.in_indptr = in_indptr
         self.root_idx = index[ROOT]
 
-    @property
-    def m2(self) -> int:
-        """Number of directed edges (2·|E|)."""
-        return int(self.indptr[-1])
-
     def edge_of(self, src_idx, dst_idx):
         """Directed-edge indices for (src, dst) index arrays."""
         return np.searchsorted(
@@ -168,53 +152,78 @@ class _Csr:
         )
 
 
-def _sssp_depths(csr: _Csr, source_idx: int) -> np.ndarray:
-    """Hop distances from one source over the CSR structure."""
-    depth = np.full(csr.n, -1, dtype=np.int64)
-    depth[source_idx] = 0
-    frontier = np.array([source_idx], dtype=np.int64)
-    level = 0
-    indptr, indices = csr.indptr, csr.indices
-    while frontier.size:
-        level += 1
-        reach = np.concatenate(
-            [indices[indptr[u]:indptr[u + 1]] for u in frontier]
-        )
-        reach = reach[depth[reach] < 0]
-        if reach.size == 0:
-            break
-        frontier = np.unique(reach)
-        depth[frontier] = level
-    return depth
+def _bfs_depths(csr: _Csr, sources) -> np.ndarray:
+    """Hop distances ``D[i, u]`` from ``sources[i]``: int32 ``(|sources|, n)``.
 
-
-def _all_pairs_distances(csr: _Csr) -> np.ndarray:
-    """The full hop-distance matrix via blocked boolean matmul BFS."""
+    A bit-parallel BFS from every source at once: each ``uint64`` word
+    of a node's state carries 64 sources, and one level costs a gather
+    of the frontier words along ``indices`` plus one
+    ``bitwise_or.reduceat`` over the neighbor ranges.  A node's depth is
+    the number of levels it stays unseen; unreachable entries are -1.
+    Sources go in blocks that keep both the gathered words and the
+    depth counters within ``_CHUNK_ENTRIES``.
+    """
     n = csr.n
-    if n == 1:
-        return np.zeros((1, 1), dtype=np.int32)
-    adjacency = np.zeros((n, n), dtype=np.float32)
-    adjacency[csr.src, csr.dst] = 1.0
-    distances = np.zeros((n, n), dtype=np.int32)
-    block = max(1, min(n, _CHUNK_ENTRIES // n))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        rows = stop - start
-        reached = np.zeros((rows, n), dtype=bool)
-        reached[np.arange(rows), np.arange(start, stop)] = True
-        frontier = reached.astype(np.float32)
-        level = 0
-        sub = distances[start:stop]
+    sources = np.asarray(sources, dtype=np.int64)
+    depths = np.empty((sources.size, n), dtype=np.int32)
+    linked = np.nonzero(csr.indptr[1:] > csr.indptr[:-1])[0]
+    starts = csr.indptr[linked]
+    block = 64 * max(1, min(_CHUNK_ENTRIES // (64 * n),
+                            _CHUNK_ENTRIES // max(1, csr.m2)))
+    for lo in range(0, sources.size, block):
+        chunk = sources[lo:lo + block]
+        k = chunk.size
+        bit = np.arange(k)
+        seen = np.zeros((n, (k + 63) // 64), dtype=np.uint64)
+        np.bitwise_or.at(
+            seen, (chunk, bit // 64),
+            np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64)),
+        )
+        unseen = np.zeros((n, k), dtype=np.int32)
+        frontier = seen
         while True:
-            nxt = (frontier @ adjacency) > 0.0
-            nxt &= ~reached
-            if not nxt.any():
+            reach = np.zeros_like(seen)
+            reach[linked] = np.bitwise_or.reduceat(
+                frontier[csr.indices], starts, axis=0
+            )
+            frontier = reach & ~seen
+            if not frontier.any():
                 break
-            level += 1
-            sub[nxt] = level
-            reached |= nxt
-            frontier = nxt.astype(np.float32)
-    return distances
+            unseen += _unpack(~seen, k)
+            seen |= frontier
+        unseen[_unpack(~seen, k).view(bool)] = -1
+        depths[lo:lo + k] = unseen.T
+    return depths
+
+
+def _unpack(words: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` bits of each row of ``uint64`` words, as uint8."""
+    return np.unpackbits(
+        words.astype("<u8", copy=False).view(np.uint8), axis=1, count=k,
+        bitorder="little",
+    )
+
+
+def _wave_parents(csr: _Csr, distances: np.ndarray) -> np.ndarray:
+    """``P[i, u]``: the lowest-index neighbor of ``u`` one level closer
+    to the ``i``-th source, i.e. ``u``'s parent in that source's BFS
+    tree; ``n`` where there is none (``u`` is the source)."""
+    n = csr.n
+    parents = np.full(distances.shape, n, dtype=np.int64)
+    if n == 1:
+        return parents
+    src_in = csr.src[csr.in_order]
+    dst_in = csr.dst[csr.in_order]
+    chunk = max(1, _CHUNK_ENTRIES // max(1, csr.m2))
+    for lo in range(0, len(distances), chunk):
+        block = distances[lo:lo + chunk]
+        candidate = np.where(
+            block[:, src_in] == block[:, dst_in] - 1, src_in, n
+        )
+        parents[lo:lo + chunk] = np.minimum.reduceat(
+            candidate, csr.in_indptr[:-1], axis=1
+        )
+    return parents
 
 
 class _Tree:
@@ -223,21 +232,16 @@ class _Tree:
     __slots__ = (
         "depth", "parent", "children", "height", "ecc", "r_echo",
         "start_round", "root_idx", "nonroot", "up_edges", "down_edges",
+        "diameter_bound",
     )
 
     def __init__(self, csr: _Csr, depth: np.ndarray) -> None:
         n = csr.n
         self.root_idx = csr.root_idx
+        depth = depth.astype(np.int64)
         self.depth = depth
-        parent = np.full(n, -1, dtype=np.int64)
-        if n > 1:
-            src_in = csr.src[csr.in_order]
-            dst_in = csr.dst[csr.in_order]
-            candidate = np.where(
-                depth[src_in] == depth[dst_in] - 1, src_in, n
-            )
-            parent = np.minimum.reduceat(candidate, csr.in_indptr[:-1])
-            parent[self.root_idx] = -1
+        parent = _wave_parents(csr, depth[None, :])[0]
+        parent[self.root_idx] = -1
         self.parent = parent
         children: List[List[int]] = [[] for _ in range(n)]
         parent_list = parent.tolist()
@@ -252,21 +256,12 @@ class _Tree:
                 height[p] = height[v] + 1
         self.height = height
         self.ecc = int(depth.max())
+        self.diameter_bound = max(1, 2 * self.ecc)
         self.r_echo = 2 + 2 * self.ecc
         self.start_round = 3 * self.ecc + 4
         self.nonroot = np.nonzero(parent >= 0)[0]
-        self.up_edges = (
-            csr.edge_of(self.nonroot, parent[self.nonroot])
-            if n > 1 else np.zeros(0, dtype=np.int64)
-        )
-        self.down_edges = (
-            csr.edge_of(parent[self.nonroot], self.nonroot)
-            if n > 1 else np.zeros(0, dtype=np.int64)
-        )
-
-    @property
-    def diameter_bound(self) -> int:
-        return max(1, 2 * self.ecc)
+        self.up_edges = csr.edge_of(self.nonroot, parent[self.nonroot])
+        self.down_edges = csr.edge_of(parent[self.nonroot], self.nonroot)
 
 
 class _Schedule:
@@ -282,10 +277,10 @@ class _Schedule:
         self.edge_bits: Optional[np.ndarray] = (
             np.zeros(csr.m2, dtype=np.int64) if track_edges else None
         )
-        #: class -> one witnessing (edge_idx, round) delivery.
+        #: class -> its earliest (round, edge_idx) delivery.
         self.classes: Dict[Type[Message], Tuple[int, int]] = {}
-        #: coincidences: (combined_bits, edge_idx, round).
-        self.pairs: List[Tuple[int, int, int]] = []
+        #: coincidences: (round, edge_idx) -> combined bits.
+        self.pairs: Dict[Tuple[int, int], int] = {}
 
     def size(self, cls: Type[Message]) -> int:
         return self.size_model.class_size_bits(cls)
@@ -295,7 +290,7 @@ class _Schedule:
         size = self.size(cls)
         self.msgs += counts
         self.bits += counts * size
-        self.classes.setdefault(cls, witness)
+        self.classes[cls] = min(self.classes.get(cls, witness), witness)
 
     def deliver(self, cls: Type[Message], rounds, edges) -> None:
         """Record one delivery per (round, edge) entry pair."""
@@ -309,7 +304,10 @@ class _Schedule:
                 f"computed run length {self.total_rounds}"
             )
         counts = np.bincount(rounds, minlength=self.total_rounds + 2)
-        self._admit_counts(cls, counts, (int(edges[0]), int(rounds[0])))
+        first = int(rounds.min())
+        self._admit_counts(
+            cls, counts, (first, int(edges[rounds == first].min()))
+        )
         if self.edge_bits is not None:
             np.add.at(self.edge_bits, edges, self.size(cls))
 
@@ -328,9 +326,8 @@ class _Schedule:
     def coincide(self, other_cls: Type[Message], edge_idx: int,
                  round_no: int) -> None:
         """Record a wave-token + ``other_cls`` shared edge-round."""
-        self.pairs.append(
-            (self.size(BfsToken) + self.size(other_cls),
-             edge_idx, round_no)
+        self.pairs[(round_no, edge_idx)] = (
+            self.size(BfsToken) + self.size(other_cls)
         )
 
     def finalize(self, bandwidth_bits: Optional[int]) -> RunMetrics:
@@ -338,21 +335,23 @@ class _Schedule:
             default_bandwidth(self.csr.n)
             if bandwidth_bits is None else bandwidth_bits
         )
-        max_bits = 0
-        witness: Optional[Tuple[int, int]] = None
-        for cls, (edge_idx, round_no) in self.classes.items():
-            size = self.size(cls)
-            if size > max_bits:
-                max_bits, witness = size, (edge_idx, round_no)
-        for bits, edge_idx, round_no in self.pairs:
-            if bits > max_bits:
-                max_bits, witness = bits, (edge_idx, round_no)
+        # Edge-round -> bits: each class at its earliest delivery, and
+        # every coincidence (which carries both of its messages).
+        witnesses = {
+            first: self.size(cls) for cls, first in self.classes.items()
+        }
+        witnesses.update(self.pairs)
+        max_bits = max(witnesses.values(), default=0)
         if max_bits > budget:
-            edge_idx, round_no = witness
+            # Like Network._deliver: the first round over budget, and
+            # in it the smallest edge, with that edge-round's bits.
+            round_no, edge_idx = min(
+                w for w, bits in witnesses.items() if bits > budget
+            )
             raise BandwidthExceededError(
                 int(self.csr.ids[self.csr.src[edge_idx]]),
                 int(self.csr.ids[self.csr.dst[edge_idx]]),
-                round_no, max_bits, budget,
+                round_no, witnesses[(round_no, edge_idx)], budget,
             )
         if not self.classes:
             max_messages = 0
@@ -553,7 +552,7 @@ def _emit_apsp_phase(
             )
     witness_edge = int(csr.indptr[tree.root_idx])
     sched.deliver_bincounts(
-        BfsToken, counts, edge_counts, (witness_edge, t0 + 2)
+        BfsToken, counts, edge_counts, (t0 + 2, witness_edge)
     )
 
     # Wave-token coincidences with the pebble / the finish broadcast —
@@ -595,27 +594,6 @@ def _emit_epilogue(sched: _Schedule, tree: _Tree, start: int,
                 tree.down_edges,
             )
     return start + phases * period
-
-
-def _wave_parents(csr: _Csr, distances: np.ndarray) -> np.ndarray:
-    """``P[v, u]`` = index of ``u``'s parent in ``T_v`` (``n`` at u=v)."""
-    n = csr.n
-    parents = np.full((n, n), n, dtype=np.int64)
-    if n == 1:
-        return parents
-    src_in = csr.src[csr.in_order]
-    dst_in = csr.dst[csr.in_order]
-    chunk = max(1, _CHUNK_ENTRIES // max(1, csr.m2))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = distances[lo:hi]
-        candidate = np.where(
-            block[:, src_in] == block[:, dst_in] - 1, src_in, n
-        )
-        parents[lo:hi] = np.minimum.reduceat(
-            candidate, csr.in_indptr[:-1], axis=1
-        )
-    return parents
 
 
 def _emit_ssp_phase(
@@ -728,7 +706,7 @@ def run_bfs(graph: Graph, *, seed: int = 0,
     _check_supported(policy=policy, faults=faults)
     validate_apsp_input(graph)
     csr = _Csr(graph)
-    tree = _Tree(csr, _sssp_depths(csr, csr.root_idx))
+    tree = _Tree(csr, _bfs_depths(csr, [csr.root_idx])[0])
     sched = _Schedule(
         tree.start_round, csr, SizeModel(csr.n), track_edges=False
     )
@@ -754,8 +732,8 @@ def _apsp_run(graph: Graph, *, collect_girth: bool, track_edges: bool,
               bandwidth_bits: Optional[int], epilogue_phases: int = 0):
     """Shared tree + Algorithm 1 (+ optional epilogue) schedule."""
     csr = _Csr(graph)
-    distances = _all_pairs_distances(csr)
-    tree = _Tree(csr, distances[csr.root_idx].astype(np.int64))
+    distances = _bfs_depths(csr, np.arange(csr.n))
+    tree = _Tree(csr, distances[csr.root_idx])
     t0 = tree.start_round
     # The run length must be known before any bincount: finish_round
     # depends only on the pebble tour, so compute it first.
@@ -882,7 +860,7 @@ def run_ssp(graph: Graph, sources: Iterable[int], *, seed: int = 0,
     if unknown:
         raise GraphError(f"sources {sorted(unknown)} are not graph nodes")
     csr = _Csr(graph)
-    tree = _Tree(csr, _sssp_depths(csr, csr.root_idx))
+    tree = _Tree(csr, _bfs_depths(csr, [csr.root_idx])[0])
     t0 = tree.start_round
     duration = len(source_set) + tree.diameter_bound + 2
     total_rounds = t0 + duration

@@ -240,15 +240,14 @@ class TestCommittedBaseline:
 
     RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
-    # ``bench_weighted`` postdates both committed baselines; the compare
-    # gate tolerates workloads that exist only in the current report, so
-    # the baselines stay byte-identical until the next full refresh.
+    # ``bench_weighted`` postdates the dated full-scale baseline, which
+    # stays byte-identical; the quick CI baseline pins every workload.
     PRE_WEIGHTED = {"bench_weighted"}
 
     def test_ci_baseline_is_quick_mode(self):
         report = load_report(str(self.RESULTS / "baseline.json"))
         assert report["mode"] == "quick"
-        assert set(report["workloads"]) == set(WORKLOADS) - self.PRE_WEIGHTED
+        assert set(report["workloads"]) == set(WORKLOADS)
 
     def test_dated_baseline_is_full_mode(self):
         report = load_report(str(self.RESULTS / "BENCH_2026-08-06.json"))

@@ -113,12 +113,13 @@ def test_properties_backends_agree(spec, girth):
 
 #: Fixed graphs beside the hypothesis strategy above: the extremes of D
 #: (paths down to one node, a star, a complete graph), odd and even
-#: cycles, grids, a tree, and a few ER and diameter-2/4 instances.
+#: cycles, grids, a tree, and a few ER and diameter-2/4 instances; the
+#: 70-node one spans two of the BFS kernel's 64-source words.
 FIXED_SPECS = [
     "path:1", "path:2", "path:5", "cycle:6", "cycle:7", "star:8",
     "complete:5", "grid:4x5", "torus:4x6", "tree:2:3",
     "er:20:p=0.2:seed=5", "er:24:p=0.15:seed=2", "er:32:p=0.15:seed=1",
-    "diameter2:16", "diameter4:16",
+    "er:70:p=0.08:seed=1", "diameter2:16", "diameter4:16",
 ]
 
 
@@ -154,3 +155,51 @@ def test_entry_points_agree_on_fixed_graphs(spec):
         assert _canonical(_parts(vec)) == _canonical(_parts(obj)), (
             f"{name}{args} {kwargs}: backends diverged on {spec}"
         )
+
+
+#: Overflow probes: graphs and budgets at which Algorithm 1 exceeds B.
+OVERFLOW_SPECS = [
+    "er:40:p=0.15:seed=3", "torus:6x6", "path:20", "er:128:p=0.06:seed=1",
+]
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return info.value
+
+
+@pytest.mark.parametrize("bandwidth", [8, 16, 24])
+@pytest.mark.parametrize("spec", OVERFLOW_SPECS)
+def test_overflow_names_the_same_witness(spec, bandwidth):
+    # Both engines stop at the first round with an edge over budget and
+    # name its smallest such edge with that edge-round's total bits.
+    from repro import core, vector
+    from repro.congest.errors import BandwidthExceededError
+
+    graph = parse_graph(spec)
+    errors = [
+        _raised(lambda: engine.run_apsp(graph, bandwidth_bits=bandwidth))
+        for engine in (core, vector)
+    ]
+    assert all(type(e) is BandwidthExceededError for e in errors)
+    obj, vec = [
+        (e.sender, e.receiver, e.round_no, e.used_bits, e.budget_bits)
+        for e in errors
+    ]
+    assert vec == obj
+
+
+def test_disconnected_input_rejected_identically():
+    from repro import core, vector
+    from repro.graphs import Graph
+
+    graph = Graph.from_edges([(1, 2), (3, 4)])
+    for name, args in [("run_bfs", ()), ("run_apsp", ()),
+                       ("run_ssp", ([1],)), ("run_graph_properties", ()),
+                       ("run_exact_girth", ())]:
+        obj, vec = [
+            _raised(lambda: getattr(engine, name)(graph, *args))
+            for engine in (core, vector)
+        ]
+        assert (type(vec), str(vec)) == (type(obj), str(obj)), name
