@@ -69,11 +69,18 @@ def _apsp_vector_run(req: RunRequest):
     )
 
 
+def _diameter_radius(summary) -> Dict[str, int]:
+    """An APSP summary's diameter and radius, from one walk over its rows."""
+    eccentricities = summary.eccentricities().values()
+    return {"diameter": max(eccentricities), "radius": min(eccentricities)}
+
+
 def _apsp_present(args, graph, outcome: RunOutcome) -> None:
     summary = outcome.summary
     print(f"APSP on {graph!r}")
     _print_cost(outcome.metrics)
-    print(f"diameter: {summary.diameter()}   radius: {summary.radius()}")
+    print("diameter: {diameter}   radius: {radius}".format(
+        **_diameter_radius(summary)))
     if args.show_row is not None:
         row = summary.results[args.show_row].distances
         print(f"distances from node {args.show_row}: "
@@ -84,9 +91,7 @@ register(Protocol(
     name="apsp",
     entry_point="core.run_apsp",
     run=_apsp_run,
-    summarize=lambda s, req: {
-        "diameter": s.diameter(), "radius": s.radius(),
-    },
+    summarize=lambda s, req: _diameter_radius(s),
     schema=(
         ParamSpec("collect_girth", kind="bool", default=False,
                   help="also collect the Lemma 7 girth witnesses"),
@@ -448,9 +453,7 @@ register(Protocol(
         req.graph, req.params["variant"], **req.common.kwargs()
     ),
     summarize=lambda s, req: {
-        "variant": req.params["variant"],
-        "diameter": s.diameter(),
-        "radius": s.radius(),
+        "variant": req.params["variant"], **_diameter_radius(s),
     },
     schema=(
         ParamSpec("variant", kind="str", required=True,

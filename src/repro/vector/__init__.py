@@ -6,9 +6,10 @@ the Lemma 2–7 property epilogue and exact girth) as batched numpy array
 operations over a CSR-style adjacency structure, instead of stepping one
 Python generator per node per round.  The message *schedules* of those
 protocols are closed-form functions of the distance matrix and the
-``T_1`` pebble traversal, so whole runs collapse into one bit-parallel
-BFS and a handful of ``bincount`` passes — 10–50× faster at
-``n ≥ 512`` and practical at ``n = 2048+``.
+``T_1`` pebble traversal, so a whole Algorithm 1 run is one
+bit-parallel BFS and one pass over rows of the distance matrix per
+block of nodes — 10–50× faster at ``n ≥ 512`` and practical at
+``n = 2048+``.
 
 The contract is byte-identical observability: every entry point returns
 the same result objects and the same

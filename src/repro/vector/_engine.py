@@ -14,9 +14,11 @@ algorithms send is a *closed-form function* of the BFS distance matrix
   ``start_round = 3·ecc(root) + 4``.
 * **Algorithm 1** (``apsp_phase``): the pebble's Euler tour of ``T_1``
   fixes each wave's start round ``w(v)``; wave ``v``'s token crosses
-  directed edge ``(x, y)`` in round ``w(v) + D[v,x] + 1`` iff
-  ``D[v,y] ≥ D[v,x]``.  The finish broadcast leaves the root the round
-  the pebble exhausts and reaches depth ``d`` nodes ``d`` rounds later.
+  directed edge ``(x, y)`` in round ``w(v) + D[x,v] + 1`` iff ``y`` is
+  not one level closer to ``v``.  ``D`` is symmetric, so row ``x`` of
+  ``D`` holds every wave's depth at ``x``.  The finish broadcast leaves
+  the root the round the pebble exhausts and reaches depth ``d`` nodes
+  ``d`` rounds later.
 * **Lemmas 2–7 epilogue**: ``k`` aligned convergecast+broadcast phases
   of exactly ``2·(ecc(root) + 2)`` rounds each, one :class:`UpMsg` /
   :class:`DownMsg` per tree edge per phase.
@@ -25,17 +27,23 @@ algorithms send is a *closed-form function* of the BFS distance matrix
   sets held as one boolean matrix and each round's offers selected by a
   single vectorized argmin.
 
-Whole runs therefore collapse into a few ``bincount`` passes over
-delivery-round arrays, with the distance matrix computed by one
-bit-parallel multi-source BFS (:func:`_bfs_depths`).  Counter fidelity
-notes:
+The distance matrix comes from one bit-parallel multi-source BFS
+(:func:`_bfs_depths`).  Algorithm 1 then costs one pass over rows of
+``D`` per block of nodes (:func:`_node_blocks`): comparing each node's
+row with its neighbors' rows says, per (edge, wave), whether the
+neighbor is one level closer.  That gives every round's wave-token
+count (one ``bincount`` over ``n²`` (node, wave) pairs), the per-edge
+counts and the Lemma 7 girth candidates; BFS parents, the lowest-index
+neighbor one level closer, follow the same comparison
+(:func:`_bfs_parents`).  Counter fidelity notes:
 
 * Per directed edge and round these schedules deliver at most one
   message, **except** in the APSP phase where a wave token may share an
   edge-round with the pebble or with the finish broadcast; those
   coincidences are detected explicitly, so ``max_edge_*_in_round`` is
-  exact.  Distinct wave tokens never collide (the paper's Lemma 1); a
-  tripwire re-verifies this exhaustively on small inputs.
+  exact.  Distinct wave tokens never collide (the paper's Lemma 1):
+  every run checks its node form, no node staging two waves in one
+  round, at every ``n`` (:func:`_check_lemma1`).
 * A bandwidth overflow names the object engine's witness: the first
   round with an edge over budget, its smallest such edge, and that
   edge-round's bits.
@@ -77,15 +85,10 @@ from ..core.ssp import PRIORITY_DIST_ID
 from ..graphs.graph import Graph
 from . import VectorBackendError, unsupported
 
-#: Upper bound on (rows × directed edges) entries held live per chunk of
-#: the wave sweep — keeps peak memory near 100 MB at n = 2048.
+#: Upper bound on the entries one block of a sweep covers: out-edges ×
+#: columns of a node block, rows × n in the coincidence check, sources ×
+#: nodes or edges in the BFS — keeps peak memory near 100 MB at n = 2048.
 _CHUNK_ENTRIES = 1 << 23
-
-#: Below this (n × directed edges) volume the Lemma 1 tripwire runs: an
-#: exhaustive uniqueness check that no two wave tokens share an
-#: edge-round.  Covers every test-sized graph at negligible cost while
-#: staying off the bench path (n ≥ 512).
-_LEMMA1_CHECK_LIMIT = 1 << 18
 
 _NO_CANDIDATE = np.iinfo(np.int64).max
 
@@ -108,7 +111,7 @@ class _Csr:
 
     __slots__ = (
         "n", "ids", "indptr", "indices", "src", "dst", "edge_key",
-        "in_order", "in_indptr", "root_idx", "m2",
+        "root_idx", "m2",
     )
 
     def __init__(self, graph: Graph) -> None:
@@ -137,11 +140,6 @@ class _Csr:
         # lexicographically sorted — the key array is monotonic and
         # edge_of() is a binary search.
         self.edge_key = self.src * n + self.dst
-        self.in_order = np.argsort(self.dst, kind="stable")
-        in_counts = np.bincount(self.dst, minlength=n)
-        in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(in_counts, out=in_indptr[1:])
-        self.in_indptr = in_indptr
         self.root_idx = index[ROOT]
 
     def edge_of(self, src_idx, dst_idx):
@@ -204,25 +202,58 @@ def _unpack(words: np.ndarray, k: int) -> np.ndarray:
     )
 
 
-def _wave_parents(csr: _Csr, distances: np.ndarray) -> np.ndarray:
-    """``P[i, u]``: the lowest-index neighbor of ``u`` one level closer
-    to the ``i``-th source, i.e. ``u``'s parent in that source's BFS
-    tree; ``n`` where there is none (``u`` is the source)."""
+def _node_blocks(csr: _Csr, width: int):
+    """Sweep nodes in blocks ``[lo, hi)`` whose out-edges × ``width``
+    stay within ``_CHUNK_ENTRIES``; a node with more is a block alone.
+
+    Yields ``(nodes, ranks)`` per block: its nodes, highest degree
+    first, and for each ``k`` the ``k``-th out-edge of every node of
+    degree above ``k`` — a prefix of ``nodes``.  A sum or maximum over
+    each node's out-edges is then one array operation per ``k`` on a
+    prefix of rows, which numpy does far faster than a segmented
+    ``reduceat`` down the rows.
+    """
+    indptr = csr.indptr
+    limit = max(1, _CHUNK_ENTRIES // max(1, width))
+    lo = 0
+    while lo < csr.n:
+        hi = max(lo + 1, int(np.searchsorted(
+            indptr, indptr[lo] + limit, side="right")) - 1)
+        degree = indptr[lo + 1:hi + 1] - indptr[lo:hi]
+        nodes = lo + np.argsort(-degree, kind="stable")
+        first = indptr[nodes]
+        # above[k]: how many of the block's nodes have degree > k.
+        above = np.cumsum(np.bincount(degree)[::-1])[::-1][1:]
+        yield nodes, [first[:c] + k for k, c in enumerate(above.tolist())]
+        lo = hi
+
+
+def _bfs_parents(csr: _Csr, cols: np.ndarray) -> np.ndarray:
+    """``P[u, j]``: the lowest-index neighbor of ``u`` one level closer
+    in column ``j`` of the hop distances ``cols`` (``n × k``) — ``u``'s
+    parent in that BFS tree; ``n`` where there is none (the source).
+    Neighbors' hop distances differ by at most one, so "one level
+    closer" is "smaller".
+
+    ``_Tree`` passes the root's depths as one column.  APSP passes ``D``,
+    whose column ``v`` holds every node's distance to ``v`` (``D`` is
+    symmetric), so row ``u`` is ``u``'s parent in every wave's tree.
+    """
     n = csr.n
-    parents = np.full(distances.shape, n, dtype=np.int64)
-    if n == 1:
-        return parents
-    src_in = csr.src[csr.in_order]
-    dst_in = csr.dst[csr.in_order]
-    chunk = max(1, _CHUNK_ENTRIES // max(1, csr.m2))
-    for lo in range(0, len(distances), chunk):
-        block = distances[lo:lo + chunk]
-        candidate = np.where(
-            block[:, src_in] == block[:, dst_in] - 1, src_in, n
-        )
-        parents[lo:lo + chunk] = np.minimum.reduceat(
-            candidate, csr.in_indptr[:-1], axis=1
-        )
+    parents = np.empty(cols.shape, dtype=np.int64)
+    for nodes, ranks in _node_blocks(csr, cols.shape[1]):
+        near = cols[nodes]
+        # Over the closer neighbors, the largest n - index; 0 for none.
+        key = np.zeros(near.shape, dtype=np.int32)
+        for edges in ranks:
+            c = edges.size
+            far = csr.indices[edges]
+            np.maximum(
+                key[:c],
+                (cols[far] < near[:c]) * (n - far).astype(np.int32)[:, None],
+                out=key[:c],
+            )
+        parents[nodes] = n - key
     return parents
 
 
@@ -240,7 +271,7 @@ class _Tree:
         self.root_idx = csr.root_idx
         depth = depth.astype(np.int64)
         self.depth = depth
-        parent = _wave_parents(csr, depth[None, :])[0]
+        parent = _bfs_parents(csr, depth[:, None])[:, 0]
         parent[self.root_idx] = -1
         self.parent = parent
         children: List[List[int]] = [[] for _ in range(n)]
@@ -408,10 +439,11 @@ def _pebble_schedule(tree: _Tree, t0: int):
     the first move in round ``t0 + 1``; a first visit arriving in round
     ``a`` stages its wave and onward move in ``a + 1``; a revisit moves
     on in its arrival round; the root announces the finish the round its
-    traversal exhausts.
+    traversal exhausts.  Wave rounds are int32, like ``D``, so the
+    ``w(v) + D[u, v]`` arrays stay four bytes an entry.
     """
     n = len(tree.depth)
-    wave_round = np.zeros(n, dtype=np.int64)
+    wave_round = np.zeros(n, dtype=np.int32)
     wave_round[tree.root_idx] = t0 + 1
     next_child = [0] * n
     parent = tree.parent.tolist()
@@ -451,14 +483,42 @@ def _pebble_schedule(tree: _Tree, t0: int):
             )
 
 
-def _token_present(distances: np.ndarray, wave_round: np.ndarray,
-                   src_idx: int, dst_idx: int, round_no: int) -> bool:
-    """Whether any wave token crosses ``(src, dst)`` in ``round_no``."""
-    d_src = distances[:, src_idx].astype(np.int64)
-    return bool(np.any(
-        (wave_round + d_src + 1 == round_no)
-        & (distances[:, dst_idx] >= distances[:, src_idx])
-    ))
+def _check_lemma1(staged: np.ndarray) -> None:
+    """Lemma 1 in its node form: no node stages two waves in one round.
+
+    Row ``u`` of ``staged`` holds ``w(v) + D[u, v]`` for every wave
+    ``v``: the round ``u`` forwards wave ``v``.  No repeat in a row
+    implies that no two waves share an edge-round, which the per-round
+    token counts assume.
+    """
+    ordered = np.sort(staged, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise AssertionError(
+            "a node staged two BFS waves in one round (Lemma 1 "
+            "violation); the vector schedule no longer matches the "
+            "object engine"
+        )
+
+
+def _tokens_crossing(distances: np.ndarray, wave_round: np.ndarray,
+                     senders: np.ndarray, receivers: np.ndarray,
+                     rounds: np.ndarray) -> np.ndarray:
+    """Whether a wave token crosses ``(senders[i], receivers[i])`` in
+    ``rounds[i]``: the wave the sender staged the round before (at most
+    one, by Lemma 1), unless the receiver is one level closer to it."""
+    hit = np.empty(senders.size, dtype=bool)
+    step = max(1, _CHUNK_ENTRIES // distances.shape[1])
+    staged_in = (rounds - 1).astype(wave_round.dtype)
+    for lo in range(0, senders.size, step):
+        x = senders[lo:lo + step]
+        y = receivers[lo:lo + step]
+        match = distances[x] + wave_round == staged_in[lo:lo + step, None]
+        wave = match.argmax(axis=1)
+        hit[lo:lo + step] = (
+            match[np.arange(x.size), wave]
+            & (distances[y, wave] >= distances[x, wave])
+        )
+    return hit
 
 
 def _emit_apsp_phase(
@@ -485,92 +545,73 @@ def _emit_apsp_phase(
     sched.deliver(PebbleMsg, moves_stage + 1, move_edges)
 
     # Finish broadcast down the tree.
-    sched.deliver(
-        DownMsg, exhausted + tree.depth[tree.nonroot], tree.down_edges
-    )
+    down_rounds = exhausted + tree.depth[tree.nonroot]
+    sched.deliver(DownMsg, down_rounds, tree.down_edges)
 
-    # The n BFS waves, in source chunks.
-    src, dst = csr.src, csr.dst
-    src_in = src[csr.in_order]
-    dst_in = dst[csr.in_order]
-    m2 = csr.m2
+    # The n BFS waves.  Node u forwards wave v in round w(v) + D[u, v]
+    # on each edge whose far end is not one level closer to v: in rows
+    # of D, where the neighbor's entry is smaller.
     total = sched.total_rounds
-    counts = np.zeros(total + 2, dtype=np.int64)
+    degree = np.diff(csr.indptr)
+    tokens = np.zeros(total + 2)
     edge_counts = (
-        np.zeros(m2, dtype=np.int64) if sched.edge_bits is not None else None
+        np.zeros(csr.m2, dtype=np.int64)
+        if sched.edge_bits is not None else None
     )
-    check_lemma1 = n * m2 <= _LEMMA1_CHECK_LIMIT
-    seen_keys: List[np.ndarray] = []
-    chunk = max(1, _CHUNK_ENTRIES // max(1, m2))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = distances[lo:hi]
-        d_src = block[:, src].astype(np.int64)
-        d_dst = block[:, dst]
-        mask = d_dst >= block[:, src]
-        rounds = wave_round[lo:hi, None] + d_src + 1
-        hit = rounds[mask]
-        if hit.size:
-            peak = int(hit.max())
-            if peak > total:
-                raise AssertionError(
-                    f"wave delivery in round {peak} past run length {total}"
-                )
-            counts += np.bincount(hit, minlength=total + 2)
-        if edge_counts is not None:
-            edge_counts += mask.sum(axis=0)
-        if check_lemma1 and hit.size:
-            edge_idx = np.broadcast_to(
-                np.arange(m2, dtype=np.int64), mask.shape
-            )[mask]
-            seen_keys.append(edge_idx * (total + 2) + hit)
-        if collect_girth:
-            d_si = block[:, src_in]
-            d_di = block[:, dst_in]
-            same = np.add.reduceat(
-                d_si == d_di, csr.in_indptr[:-1], axis=1
-            )
-            above = np.add.reduceat(
-                d_si == d_di - 1, csr.in_indptr[:-1], axis=1
-            )
-            twice = 2 * block.astype(np.int64)
-            candidate = np.where(above >= 2, twice, _NO_CANDIDATE)
-            candidate = np.minimum(
-                candidate,
-                np.where(same >= 1, twice + 1, _NO_CANDIDATE),
-            )
-            np.minimum(
-                girth_best, candidate.min(axis=0), out=girth_best
-            )
-    if check_lemma1 and seen_keys:
-        keys = np.concatenate(seen_keys)
-        keys.sort()
-        if keys.size > 1 and bool((np.diff(keys) == 0).any()):  # pragma: no cover
+    for nodes, ranks in _node_blocks(csr, n):
+        near = distances[nodes]
+        closer_count = np.zeros(near.shape, dtype=np.int32)
+        level = np.zeros(near.shape, dtype=bool) if collect_girth else None
+        for edges in ranks:
+            c = edges.size
+            far = distances[csr.indices[edges]]
+            closer = far < near[:c]
+            closer_count[:c] += closer
+            if edge_counts is not None:
+                edge_counts[edges] = n - closer.sum(axis=1)
+            if level is not None:
+                level[:c] |= far == near[:c]
+        staged = wave_round + near
+        _check_lemma1(staged)
+        peak = int(staged.max()) + 1
+        if peak > total:
             raise AssertionError(
-                "two BFS waves shared an edge-round (Lemma 1 violation); "
-                "the vector schedule no longer matches the object engine"
+                f"wave delivery in round {peak} past run length {total}"
             )
+        # Float weights are exact: every count is far below 2**53.
+        tokens += np.bincount(
+            (staged + 1).ravel(),
+            weights=(degree[nodes, None] - closer_count).ravel(),
+            minlength=total + 2,
+        )
+        if level is not None:
+            # Lemma 7: two closer neighbors close an even cycle through
+            # v, a neighbor at the same level an odd one.
+            twice = 2 * near.astype(np.int64)
+            candidate = np.where(
+                closer_count >= 2, twice,
+                np.where(level, twice + 1, _NO_CANDIDATE),
+            )
+            girth_best[nodes] = candidate.min(axis=1)
     witness_edge = int(csr.indptr[tree.root_idx])
     sched.deliver_bincounts(
-        BfsToken, counts, edge_counts, (t0 + 2, witness_edge)
+        BfsToken, tokens.astype(np.int64), edge_counts,
+        (t0 + 2, witness_edge),
     )
 
     # Wave-token coincidences with the pebble / the finish broadcast —
     # the only multi-message edge-rounds any schedule here produces.
-    for e, x, y, s in zip(
-        move_edges.tolist(), moves_src.tolist(), moves_dst.tolist(),
-        (moves_stage + 1).tolist(),
-    ):
-        if _token_present(distances, wave_round, x, y, s):
-            sched.coincide(PebbleMsg, e, s)
-    down_rounds = (exhausted + tree.depth[tree.nonroot]).tolist()
-    for e, v, r in zip(
-        tree.down_edges.tolist(), tree.nonroot.tolist(), down_rounds
-    ):
-        if _token_present(
-            distances, wave_round, int(tree.parent[v]), v, r
-        ):
-            sched.coincide(DownMsg, e, r)
+    moves = moves_src.size
+    senders = np.concatenate([moves_src, tree.parent[tree.nonroot]])
+    receivers = np.concatenate([moves_dst, tree.nonroot])
+    rounds = np.concatenate([moves_stage + 1, down_rounds])
+    edges = np.concatenate([move_edges, tree.down_edges])
+    hit = _tokens_crossing(distances, wave_round, senders, receivers, rounds)
+    for i in np.nonzero(hit)[0].tolist():
+        sched.coincide(
+            PebbleMsg if i < moves else DownMsg, int(edges[i]),
+            int(rounds[i]),
+        )
     return finish_round, girth_best
 
 
@@ -764,28 +805,23 @@ def run_apsp(graph: Graph, *, collect_girth: bool = False, seed: int = 0,
         graph, collect_girth=collect_girth, track_edges=track_edges,
         bandwidth_bits=bandwidth_bits,
     )
-    n = csr.n
     ids = csr.ids.tolist()
-    parents = _wave_parents(csr, distances)
-    # Map parent indices to ids; u = v slots (sentinel n) become None.
-    parent_ids = np.where(
-        parents < n, csr.ids[np.minimum(parents, n - 1)], -1
-    )
-    parent_cols = np.ascontiguousarray(parent_ids.T)
-    dist_cols = np.ascontiguousarray(distances.T.astype(np.int64))
+    # Row u: u's parent toward every wave, as the id objects themselves;
+    # the u = v slot (sentinel n) is None.
+    parent_ids = np.array(ids + [None], dtype=object)[
+        _bfs_parents(csr, distances)
+    ]
     girth_l = girth_best.tolist() if girth_best is not None else None
     results = {}
-    for u in range(n):
+    for u in range(csr.n):
         uid = ids[u]
-        row_parents = dict(zip(ids, parent_cols[u].tolist()))
-        row_parents[uid] = None
         candidate = None
         if girth_l is not None and girth_l[u] != _NO_CANDIDATE:
             candidate = girth_l[u]
         results[uid] = ApspResult(
             uid=uid,
-            distances=dict(zip(ids, dist_cols[u].tolist())),
-            parents=row_parents,
+            distances=dict(zip(ids, distances[u].tolist())),
+            parents=dict(zip(ids, parent_ids[u].tolist())),
             girth_candidate=candidate,
         )
     return ApspSummary(results=results, metrics=metrics)

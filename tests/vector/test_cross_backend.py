@@ -157,6 +157,31 @@ def test_entry_points_agree_on_fixed_graphs(spec):
         )
 
 
+def test_node_blocks_do_not_change_the_run(monkeypatch):
+    # Algorithm 1's sweep goes over rows of D in node blocks sized by
+    # _CHUNK_ENTRIES.  Cut er:70 into many blocks, single nodes among
+    # them: results and metrics must not move.
+    from repro import core, vector
+    from repro.vector import _engine
+
+    graph = parse_graph("er:70:p=0.08:seed=1")
+    calls = [
+        ("run_apsp", {"collect_girth": True, "track_edges": True}),
+        ("run_graph_properties", {"track_edges": True}),
+    ]
+    default = [_parts(getattr(vector, name)(graph, **kwargs))
+               for name, kwargs in calls]
+    monkeypatch.setattr(_engine, "_CHUNK_ENTRIES", 16 * graph.n)
+    blocks = [nodes.size for nodes, _ in
+              _engine._node_blocks(_engine._Csr(graph), graph.n)]
+    assert len(blocks) > 20 and min(blocks) == 1 and max(blocks) > 1
+    for (name, kwargs), before in zip(calls, default):
+        small = _canonical(_parts(getattr(vector, name)(graph, **kwargs)))
+        obj = _canonical(_parts(getattr(core, name)(graph, **kwargs)))
+        assert small == _canonical(before), name
+        assert small == obj, name
+
+
 #: Overflow probes: graphs and budgets at which Algorithm 1 exceeds B.
 OVERFLOW_SPECS = [
     "er:40:p=0.15:seed=3", "torus:6x6", "path:20", "er:128:p=0.06:seed=1",
