@@ -1,53 +1,26 @@
-"""``repro.bench`` — regression-tracked microbenchmarks.
+"""``repro.bench`` — pinned microbenchmarks.
 
 A pytest-independent benchmark harness over the core entry points
 (APSP, S-SP, 2-vs-4, girth) on pinned graph specs and seeds:
 
-* :mod:`~repro.bench.workloads` — the pinned workload suite;
+* :mod:`~repro.bench.workloads` — the pinned workload suite, each
+  workload with its committed ``(rounds, messages, bits)`` at both
+  scales;
 * :mod:`~repro.bench.runner` — timed execution producing machine-
   readable ``BENCH_<date>.json`` reports (median/p90 wall time, rounds,
-  messages, bits, peak RSS);
-* :mod:`~repro.bench.compare` — the ``--compare BASELINE.json`` mode
-  that fails on >15% median regressions.
+  messages, bits), and the check of every report against the pins.
 
-CLI: ``repro bench [--quick] [--compare BASELINE.json]``; the schema
-and workflow are documented in ``docs/benchmarks.md``.  The committed
-trajectory lives in ``benchmarks/results/`` (``baseline.json`` plus the
-dated ``BENCH_*.json`` history).
+CLI: ``repro bench [--quick] [--workloads a,b] [--backend B]``, which
+exits 1 when a counter differs from its pin; the schema and workflow
+are documented in ``docs/benchmarks.md``.  Dated ``BENCH_*.json``
+reports in ``benchmarks/results/`` record past measurements.
 """
 
-from .compare import (
-    DEFAULT_THRESHOLD,
-    Comparison,
-    WorkloadDelta,
-    compare_reports,
-)
-from .runner import (
-    FULL_REPEATS,
-    QUICK_REPEATS,
-    SCHEMA,
-    default_output_path,
-    load_report,
-    run_suite,
-    run_workload,
-    write_report,
-)
-from .workloads import WORKLOADS, Workload, select
+from .runner import check_pins, default_output_path, run_suite, write_report
 
 __all__ = [
-    "Comparison",
-    "DEFAULT_THRESHOLD",
-    "FULL_REPEATS",
-    "QUICK_REPEATS",
-    "SCHEMA",
-    "WORKLOADS",
-    "Workload",
-    "WorkloadDelta",
-    "compare_reports",
+    "check_pins",
     "default_output_path",
-    "load_report",
     "run_suite",
-    "run_workload",
-    "select",
     "write_report",
 ]

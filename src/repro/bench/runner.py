@@ -5,12 +5,13 @@ under ``time.perf_counter`` (pytest-independent — importing pytest or a
 plugin would distort exactly the hot path we are measuring), checks that
 the simulation itself is deterministic across repeats, and assembles a
 JSON-pure report in the ``repro-bench/1`` schema documented in
-``docs/benchmarks.md``.
+``docs/benchmarks.md``.  :func:`check_pins` then compares the report's
+counters with the workloads' pins.
 
 Wall-time statistics are median and p90 over the repeats (plus min /
-max / mean for context): the median is the regression-tracked number —
-robust against a single noisy repeat on shared CI hardware — and p90
-bounds the tail.
+max / mean for context): the median is robust against a single noisy
+repeat, and p90 bounds the tail.  Nothing here judges wall time;
+perfbench's alternating pairs are the speed record.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ SCHEMA = "repro-bench/1"
 
 FULL_REPEATS = 5
 QUICK_REPEATS = 3
+
+#: The simulation counters a report records and a workload pins.
+COUNTERS = ("rounds", "messages", "bits")
 
 
 def run_workload(
@@ -90,10 +94,9 @@ def run_suite(
 
     ``names`` selects a subset of the pinned suite; ``workloads``
     (tests only) substitutes explicit workload objects; ``backend``
-    forces every selected workload onto one execution engine (the
-    cross-backend divergence gate runs the object-backend suite under
-    ``backend="vector"`` and compares counters against the committed
-    object baseline).
+    forces every selected workload onto one execution engine (the pins
+    hold on every backend, so ``backend="vector"`` with
+    :func:`check_pins` is the cross-backend counter gate).
     """
     chosen = tuple(workloads) if workloads is not None else select(names)
     if backend is not None:
@@ -135,14 +138,21 @@ def write_report(report: Dict[str, object], path: str) -> None:
                       encoding="utf-8")
 
 
-def load_report(path: str) -> Dict[str, object]:
-    """Load a report, validating the schema marker."""
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    schema = report.get("schema")
-    if schema != SCHEMA:
-        raise ValueError(
-            f"{path}: unsupported benchmark schema {schema!r} "
-            f"(expected {SCHEMA!r})"
-        )
-    return report
+def check_pins(report: Dict[str, object]) -> List[str]:
+    """Every counter in ``report`` that differs from its workload's pin.
+
+    Workloads are resolved by name, and the pin is the one at the
+    report's scale.  Returns one ``workload: counter pinned -> measured``
+    line per difference; an empty list means every counter matched.
+    """
+    quick = report["mode"] == "quick"
+    entries = report["workloads"]
+    lines = []
+    for workload in select(list(entries)):
+        entry = entries[workload.name]
+        for counter, pinned in zip(COUNTERS, workload.pinned(quick)):
+            if entry[counter] != pinned:
+                lines.append(
+                    f"{workload.name}: {counter} {pinned} -> {entry[counter]}"
+                )
+    return lines

@@ -4,8 +4,8 @@ Each :class:`Workload` names one registered protocol on a fixed graph
 spec and seed, so every benchmark invocation — today, on CI, or three
 PRs from now — measures exactly the same simulation.  Two scales exist:
 
-* **full** — the regression-tracked sizes (``bench_apsp`` is ``n = 128``,
-  the workload the perf acceptance gate is defined on);
+* **full** — the recorded sizes (``bench_apsp`` is ``n = 128``, the
+  graph perfbench's ``run-object`` workload runs at seed 1);
 * **quick** — small instances for CI smoke runs and local sanity checks
   (``repro bench --quick``).
 
@@ -14,7 +14,10 @@ Dispatch goes through :mod:`repro.protocols` — a workload's
 benchmarkable without touching this module.
 
 Determinism is part of the contract: a workload's rounds/messages/bits
-must be identical on every repeat, and the runner asserts that.  Only
+must be identical on every repeat, and the runner asserts that.  They
+must also equal the workload's *pins*, the committed
+``(rounds, messages, bits)`` written next to each scale's graph spec,
+on every backend; ``repro bench`` exits 1 on any difference.  Only
 wall time and RSS may vary.
 """
 
@@ -34,10 +37,14 @@ class Workload:
 
     name: str
     algorithm: str
-    #: Graph spec at full (regression-tracked) scale.
+    #: Graph spec at full scale.
     graph: str
+    #: Committed ``(rounds, messages, bits)`` at full scale.
+    pins: Tuple[int, int, int]
     #: Graph spec at quick (smoke) scale.
     quick_graph: str
+    #: Committed ``(rounds, messages, bits)`` at quick scale.
+    quick_pins: Tuple[int, int, int]
     seed: int = 0
     #: Source ids for S-SP; ids absent from the (smaller) quick graph
     #: are filtered out here, before the registry validates.
@@ -53,6 +60,10 @@ class Workload:
     def graph_spec(self, quick: bool) -> str:
         """The spec measured at the requested scale."""
         return self.quick_graph if quick else self.graph
+
+    def pinned(self, quick: bool) -> Tuple[int, int, int]:
+        """The committed counters at the requested scale."""
+        return self.quick_pins if quick else self.pins
 
     def run(self, quick: bool):
         """Execute once; returns the run's :class:`RunMetrics`."""
@@ -77,9 +88,8 @@ class Workload:
         return outcome.metrics
 
 
-#: The pinned suite, in execution order.  ``bench_apsp`` (n = 128) is the
-#: workload the ISSUE's speedup gate is measured on; the others cover the
-#: remaining core entry points.
+#: The pinned suite, in execution order: one workload per core entry
+#: point.
 WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
@@ -87,32 +97,42 @@ WORKLOADS: Dict[str, Workload] = {
             name="bench_apsp",
             algorithm="apsp",
             graph="er:128:p=0.06:seed=1",
+            pins=(408, 109_090, 2_180_784),
             quick_graph="er:32:p=0.15:seed=1",
+            quick_pins=(115, 4_424, 70_660),
         ),
         Workload(
             name="bench_ssp",
             algorithm="ssp",
             graph="er:96:p=0.07:seed=2",
+            pins=(25, 3_730, 68_850),
             quick_graph="er:32:p=0.15:seed=2",
+            quick_pins=(28, 577, 9_728),
             sources=(1, 17, 33, 49),
         ),
         Workload(
             name="bench_two_vs_four",
             algorithm="two-vs-four",
             graph="diameter2:96:seed=1",
+            pins=(53, 141_622, 2_552_426),
             quick_graph="diameter2:32:seed=1",
+            quick_pins=(37, 4_320, 70_360),
         ),
         Workload(
             name="bench_girth",
             algorithm="girth",
             graph="torus:8x12",
+            pins=(414, 19_764, 357_462),
             quick_graph="torus:4x6",
+            quick_pins=(143, 1_476, 21_170),
         ),
         Workload(
             name="bench_weighted",
             algorithm="weighted-apsp",
             graph="torus:4x6",
+            pins=(223, 6_748, 114_468),
             quick_graph="path:8",
+            quick_pins=(119, 308, 4_004),
             params=(("max_weight", 3),),
         ),
     )
@@ -122,8 +142,8 @@ WORKLOADS: Dict[str, Workload] = {
 #: Large-n workloads that only the vector backend can run in sensible
 #: time.  Kept out of the default suite — ``select(None)`` must stay
 #: runnable in a numpy-free environment — and benchmarked explicitly
-#: via ``repro bench --workloads bench_apsp_n512,...`` against the
-#: committed ``benchmarks/results/baseline_vector.json``.
+#: via ``repro bench --workloads bench_apsp_n512,...``.  The n = 512
+#: full-scale pins are also the object engine's (``--backend object``).
 LARGE_WORKLOADS: Dict[str, Workload] = {
     w.name: w
     for w in (
@@ -131,28 +151,36 @@ LARGE_WORKLOADS: Dict[str, Workload] = {
             name="bench_apsp_n512",
             algorithm="apsp",
             graph="er:512:p=0.02:seed=1",
+            pins=(1_560, 2_448_957, 58_768_836),
             quick_graph="er:128:p=0.06:seed=1",
+            quick_pins=(408, 109_090, 2_180_784),
             backend="vector",
         ),
         Workload(
             name="bench_apsp_n1024",
             algorithm="apsp",
             graph="er:1024:p=0.01:seed=1",
+            pins=(3_096, 9_554_230, 248_395_658),
             quick_graph="er:160:p=0.05:seed=1",
+            quick_pins=(499, 190_837, 3_815_468),
             backend="vector",
         ),
         Workload(
             name="bench_apsp_n2048",
             algorithm="apsp",
             graph="er:2048:p=0.005:seed=1",
+            pins=(6_168, 37_434_334, 1_048_128_600),
             quick_graph="er:192:p=0.05:seed=1",
+            quick_pins=(600, 288_263, 5_763_732),
             backend="vector",
         ),
         Workload(
             name="bench_ssp_n512",
             algorithm="ssp",
             graph="er:512:p=0.02:seed=2",
+            pins=(31, 34_598, 842_616),
             quick_graph="er:128:p=0.06:seed=2",
+            quick_pins=(23, 3_606, 74_660),
             sources=(1, 65, 129, 257, 385),
             backend="vector",
         ),
@@ -160,7 +188,9 @@ LARGE_WORKLOADS: Dict[str, Workload] = {
             name="bench_ssp_n1024",
             algorithm="ssp",
             graph="er:1024:p=0.01:seed=2",
+            pins=(31, 71_079, 1_874_652),
             quick_graph="er:160:p=0.05:seed=2",
+            quick_pins=(28, 4_404, 91_260),
             sources=(1, 129, 257, 513, 769),
             backend="vector",
         ),
@@ -168,7 +198,9 @@ LARGE_WORKLOADS: Dict[str, Workload] = {
             name="bench_ssp_n2048",
             algorithm="ssp",
             graph="er:2048:p=0.005:seed=2",
+            pins=(36, 140_706, 3_997_084),
             quick_graph="er:192:p=0.05:seed=2",
+            quick_pins=(27, 4_224, 88_300),
             sources=(1, 257, 513, 1025, 1537),
             backend="vector",
         ),

@@ -268,13 +268,15 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: regression-tracked microbenchmarks.
+    """``repro bench``: the pinned microbenchmark suite.
 
-    Runs the pinned workload suite (see :mod:`repro.bench.workloads`),
-    writes a machine-readable ``BENCH_<date>.json`` report, and — with
-    ``--compare BASELINE.json`` — gates on >15% median regressions
-    (``--warn-only`` downgrades the gate to a warning, which is how the
-    CI smoke job runs it).  Schema and workflow: ``docs/benchmarks.md``.
+    Runs the pinned workload suite (see :mod:`repro.bench.workloads`)
+    and writes a machine-readable ``BENCH_<date>.json`` report.  Every
+    run's rounds, messages and bits must equal the workload's pins at
+    that scale, on any backend; a difference prints
+    ``workload: counter pinned -> measured`` and exits 1 after the
+    report is written.  Wall time is reported, never judged.  Schema
+    and workflow: ``docs/benchmarks.md``.
     """
     from . import bench
 
@@ -292,31 +294,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out = args.out or bench.default_output_path()
     bench.write_report(report, out)
     print(f"report -> {out}")
-    if not args.compare:
-        return 0
-    try:
-        baseline = bench.load_report(args.compare)
-        comparison = bench.compare_reports(
-            baseline, report, threshold=args.threshold
-        )
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"--compare: {exc}")
-    print(f"baseline: {args.compare} "
-          f"(generated {baseline.get('generated', '?')})")
-    print(comparison.render())
-    if not comparison.ok:
-        if args.strict_counters and comparison.divergent:
-            # Counter divergence means the engines computed different
-            # things — never ignorable, even under --warn-only.  This is
-            # the cross-backend byte-identity gate.
-            print("error: simulation counters diverged "
-                  "(fatal: --strict-counters)", file=sys.stderr)
-            return 1
-        if args.warn_only:
-            print("warning: regression gate failed (ignored: --warn-only)",
-                  file=sys.stderr)
-            return 0
+    mismatches = bench.check_pins(report)
+    if mismatches:
+        print("error: counters differ from their pins "
+              "(pinned -> measured):", file=sys.stderr)
+        for line in mismatches:
+            print(f"  {line}", file=sys.stderr)
         return 1
+    print(f"pins: {len(report['workloads'])} workload(s) match")
     return 0
 
 
@@ -460,53 +445,14 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.out:
         serve.write_artifact(report, args.out)
         print(f"artifact -> {args.out}")
-    code = 0
     if args.min_qps is not None and report["qps"] < args.min_qps:
         print(
             f"error: {report['qps']:.0f} qps is below the "
             f"--min-qps {args.min_qps:.0f} gate",
             file=sys.stderr,
         )
-        code = 1
-    if args.compare:
-        failures = _serve_bench_regressions(
-            report, args.compare, args.threshold
-        )
-        for line in failures:
-            print(f"regression: {line}", file=sys.stderr)
-        if failures and not args.warn_only:
-            code = 1
-    return code
-
-
-def _serve_bench_regressions(
-    report: dict, baseline_path: str, threshold: float
-) -> List[str]:
-    """Compare a serve-bench artifact against a baseline artifact.
-
-    Returns human-readable regression lines: throughput below
-    ``baseline * (1 - threshold)`` or p99 above
-    ``baseline * (1 + threshold)``.  Absolute numbers are machine-
-    dependent, so CI uses a generous threshold to catch only
-    catastrophic slowdowns.
-    """
-    with open(baseline_path, "r", encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    failures: List[str] = []
-    base_qps = baseline.get("qps", 0.0)
-    if base_qps and report["qps"] < base_qps * (1.0 - threshold):
-        failures.append(
-            f"qps {report['qps']:.0f} < {1.0 - threshold:.0%} of "
-            f"baseline {base_qps:.0f}"
-        )
-    base_p99 = (baseline.get("latency_ms") or {}).get("p99", 0.0)
-    p99 = report["latency_ms"]["p99"]
-    if base_p99 and p99 > base_p99 * (1.0 + threshold):
-        failures.append(
-            f"p99 {p99:.2f}ms > {1.0 + threshold:.0%} of baseline "
-            f"{base_p99:.2f}ms"
-        )
-    return failures
+        return 1
+    return 0
 
 
 def cmd_serve_chaos(args: argparse.Namespace) -> int:
@@ -715,8 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="regression-tracked microbenchmarks over the core entry "
-             "points (see docs/benchmarks.md)",
+        help="pinned microbenchmarks over the core entry points; exits 1 "
+             "when a counter differs from its pin (see docs/benchmarks.md)",
     )
     p.add_argument("--quick", action="store_true",
                    help="small smoke-scale instances (CI)")
@@ -733,15 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "pinned backend)")
     p.add_argument("--out", default=None,
                    help="report path (default BENCH_<date>.json)")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="gate this run against a baseline report")
-    p.add_argument("--threshold", type=float, default=0.15,
-                   help="median-regression gate (default 0.15 = 15%%)")
-    p.add_argument("--warn-only", action="store_true",
-                   help="report regressions but exit 0")
-    p.add_argument("--strict-counters", action="store_true",
-                   help="keep counter divergence fatal even under "
-                        "--warn-only (the cross-backend identity gate)")
     p.set_defaults(func=cmd_bench)
 
     # The serve flags' defaults are ServerConfig's, declared once.
@@ -833,15 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the repro-serve-bench/1 JSON artifact")
     p.add_argument("--min-qps", type=float, default=None,
                    help="exit 1 if measured qps falls below this")
-    p.add_argument("--compare", default=None, metavar="BASELINE.json",
-                   help="gate this run against a baseline "
-                        "repro-serve-bench/1 artifact")
-    p.add_argument("--threshold", type=float, default=0.5,
-                   help="regression gate vs --compare: fail when qps "
-                        "drops (or p99 grows) by more than this "
-                        "fraction (default 0.5)")
-    p.add_argument("--warn-only", action="store_true",
-                   help="report --compare regressions but exit 0")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_serve_bench)
 

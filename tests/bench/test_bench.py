@@ -2,25 +2,25 @@
 
 The benchmarks themselves are pytest-independent by design (see
 ``repro/bench/runner.py``); these tests exercise the machinery — report
-schema, determinism enforcement, the regression gate, and the CLI — on
-deliberately tiny workloads so the suite stays fast.
+schema, determinism enforcement, the pinned-counter check, and the CLI
+— on deliberately tiny workloads so the suite stays fast.
 """
 
 import copy
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.bench.compare import DEFAULT_THRESHOLD, compare_reports
 from repro.bench.runner import (
     SCHEMA,
-    load_report,
+    check_pins,
     run_suite,
     run_workload,
     write_report,
 )
-from repro.bench.workloads import WORKLOADS, Workload, select
+from repro.bench.workloads import ALL_WORKLOADS, WORKLOADS, Workload, select
 from repro.cli import main
 
 
@@ -28,7 +28,9 @@ TINY = Workload(
     name="tiny_apsp",
     algorithm="apsp",
     graph="path:6",
+    pins=(47, 65, 660),
     quick_graph="path:4",
+    quick_pins=(31, 33, 336),
     seed=0,
 )
 
@@ -44,7 +46,7 @@ class TestWorkloads:
             "bench_apsp", "bench_ssp", "bench_two_vs_four", "bench_girth",
             "bench_weighted",
         }
-        # The perf gate is defined on bench_apsp at n >= 128.
+        # perfbench's run-object workload runs this graph at seed 1.
         assert WORKLOADS["bench_apsp"].graph.startswith("er:128:")
 
     def test_select_preserves_order_and_rejects_unknown(self):
@@ -58,12 +60,14 @@ class TestWorkloads:
     def test_every_workload_runs_at_quick_scale(self):
         for workload in WORKLOADS.values():
             metrics = workload.run(quick=True)
-            assert metrics.rounds > 0
-            assert metrics.messages_total > 0
+            measured = (metrics.rounds, metrics.messages_total,
+                        metrics.bits_total)
+            assert measured == workload.quick_pins, workload.name
 
     def test_unknown_algorithm_rejected(self):
         bogus = Workload(name="x", algorithm="sorting",
-                         graph="path:4", quick_graph="path:4")
+                         graph="path:4", pins=(0, 0, 0),
+                         quick_graph="path:4", quick_pins=(0, 0, 0))
         with pytest.raises(ValueError, match="unknown algorithm"):
             bogus.run(quick=True)
 
@@ -96,13 +100,7 @@ class TestRunner:
         assert list(report["workloads"]) == ["tiny_apsp"]
         path = tmp_path / "report.json"
         write_report(report, str(path))
-        assert load_report(str(path)) == json.loads(path.read_text())
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "something-else/9"}))
-        with pytest.raises(ValueError, match="unsupported benchmark schema"):
-            load_report(str(path))
+        assert json.loads(path.read_text()) == report
 
     def test_progress_callback(self):
         lines = []
@@ -111,65 +109,44 @@ class TestRunner:
         assert any("median" in line for line in lines)
 
 
-class TestCompare:
-    def setup_method(self):
-        self.baseline = tiny_report()
+class TestPins:
+    """Every report's counters must equal its workloads' pins."""
 
-    def test_identical_reports_pass_gate(self):
-        comparison = compare_reports(self.baseline, self.baseline)
-        assert comparison.ok
-        assert not comparison.regressions and not comparison.divergent
-        assert "gate: OK" in comparison.render()
+    @pytest.fixture(scope="class")
+    def report(self):
+        return run_suite(quick=True, repeats=1, names=["bench_weighted"])
 
-    def test_slowdown_beyond_threshold_regresses(self):
-        current = copy.deepcopy(self.baseline)
-        entry = current["workloads"]["tiny_apsp"]
-        entry["wall_s"]["median"] *= 1.0 + DEFAULT_THRESHOLD + 0.05
-        comparison = compare_reports(self.baseline, current)
-        assert not comparison.ok
-        assert [d.name for d in comparison.regressions] == ["tiny_apsp"]
-        assert "REGRESSED" in comparison.render()
-        assert "gate: FAIL" in comparison.render()
+    def test_matching_report_passes(self, report):
+        assert check_pins(report) == []
 
-    def test_slowdown_within_threshold_passes(self):
-        current = copy.deepcopy(self.baseline)
-        current["workloads"]["tiny_apsp"]["wall_s"]["median"] *= 1.10
-        assert compare_reports(self.baseline, current).ok
-
-    def test_custom_threshold(self):
-        current = copy.deepcopy(self.baseline)
-        current["workloads"]["tiny_apsp"]["wall_s"]["median"] *= 1.10
-        assert not compare_reports(
-            self.baseline, current, threshold=0.05
-        ).ok
-
-    def test_counter_divergence_fails_gate_even_when_faster(self):
-        current = copy.deepcopy(self.baseline)
-        entry = current["workloads"]["tiny_apsp"]
+    @pytest.mark.parametrize("counter, pinned", [
+        ("rounds", 119), ("messages", 308), ("bits", 4004),
+    ])
+    def test_counter_off_pin_fails_even_when_faster(
+        self, report, counter, pinned
+    ):
+        current = copy.deepcopy(report)
+        entry = current["workloads"]["bench_weighted"]
         entry["wall_s"]["median"] *= 0.5
-        entry["rounds"] += 1
-        comparison = compare_reports(self.baseline, current)
-        assert not comparison.ok
-        assert [d.name for d in comparison.divergent] == ["tiny_apsp"]
-        assert "DIVERGED" in comparison.render()
+        entry[counter] += 1
+        assert check_pins(current) == [
+            f"bench_weighted: {counter} {pinned} -> {pinned + 1}"
+        ]
 
-    def test_workload_set_mismatch_is_reported(self):
-        current = copy.deepcopy(self.baseline)
-        current["workloads"]["tiny_new"] = copy.deepcopy(
-            current["workloads"]["tiny_apsp"]
-        )
-        del current["workloads"]["tiny_apsp"]
-        comparison = compare_reports(self.baseline, current)
-        assert comparison.only_in_baseline == ("tiny_apsp",)
-        assert comparison.only_in_current == ("tiny_new",)
-        # Disjoint sets regress nothing — the gate only judges shared
-        # workloads — but the rendering must surface the mismatch.
-        assert "missing from current" in comparison.render()
+    def test_wall_time_is_not_judged(self, report):
+        current = copy.deepcopy(report)
+        current["workloads"]["bench_weighted"]["wall_s"]["median"] *= 100
+        assert check_pins(current) == []
 
-    def test_mode_mismatch_rejected(self):
-        quick = tiny_report(quick=True)
-        with pytest.raises(ValueError, match="matching scale"):
-            compare_reports(self.baseline, quick)
+    def test_full_report_is_checked_against_full_pins(self, report):
+        # The quick counters under a full-scale label must fail: each
+        # scale has its own pins.
+        full = dict(report, mode="full")
+        assert check_pins(full) == [
+            "bench_weighted: rounds 223 -> 119",
+            "bench_weighted: messages 6748 -> 308",
+            "bench_weighted: bits 114468 -> 4004",
+        ]
 
 
 class TestCli:
@@ -189,67 +166,46 @@ class TestCli:
         assert list(report["workloads"]) == ["bench_ssp"]
         assert "bench_ssp" in out
 
-    def test_bench_compare_gate(self, tmp_path, capsys):
-        baseline_path = tmp_path / "baseline.json"
-        code, _, _ = self.run_bench(["--out", str(baseline_path)], capsys)
-        assert code == 0
-        # A single repeat of a millisecond workload is too noisy for a
-        # meaningful self-comparison, so slacken the baseline's median;
-        # the counters stay byte-identical, which is the real check.
-        baseline = json.loads(baseline_path.read_text())
-        baseline["workloads"]["bench_ssp"]["wall_s"]["median"] *= 10
-        baseline_path.write_text(json.dumps(baseline))
-        code, out, _ = self.run_bench(
-            ["--out", str(tmp_path / "again.json"),
-             "--compare", str(baseline_path)], capsys)
-        assert code == 0
-        assert "gate: OK" in out
-
-    def test_bench_compare_failure_and_warn_only(self, tmp_path, capsys):
-        baseline_path = tmp_path / "baseline.json"
-        self.run_bench(["--out", str(baseline_path)], capsys)
-        baseline = json.loads(baseline_path.read_text())
-        baseline["workloads"]["bench_ssp"]["wall_s"]["median"] = 1e-9
-        baseline_path.write_text(json.dumps(baseline))
-        code, out, _ = self.run_bench(
-            ["--out", str(tmp_path / "slow.json"),
-             "--compare", str(baseline_path)], capsys)
+    def test_bench_pin_off_by_one_exits_1_and_writes_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        off = replace(ALL_WORKLOADS["bench_ssp"], quick_pins=(28, 578, 9728))
+        monkeypatch.setitem(ALL_WORKLOADS, "bench_ssp", off)
+        out_path = tmp_path / "bench.json"
+        code, out, err = self.run_bench(["--out", str(out_path)], capsys)
         assert code == 1
-        assert "gate: FAIL" in out
+        assert "bench_ssp: messages 578 -> 577" in err
+        assert "rounds" not in err and "bits" not in err
+        report = json.loads(out_path.read_text())
+        assert report["workloads"]["bench_ssp"]["messages"] == 577
+        assert f"report -> {out_path}" in out
+
+    def test_bench_vector_backend_checks_the_same_pins(self, tmp_path,
+                                                        capsys):
+        pytest.importorskip("numpy")
         code, out, err = self.run_bench(
-            ["--out", str(tmp_path / "slow2.json"),
-             "--compare", str(baseline_path), "--warn-only"], capsys)
-        assert code == 0
-        assert "gate: FAIL" in out
-        assert "warn-only" in err
+            ["--backend", "vector", "--out", str(tmp_path / "v.json")],
+            capsys)
+        assert code == 0, err
+        assert "pins: 1 workload(s) match" in out
 
     def test_bench_unknown_workload_exits(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--quick", "--workloads", "bench_nope"])
 
-    def test_bench_missing_baseline_exits(self, tmp_path, capsys):
-        with pytest.raises(SystemExit, match="--compare"):
-            main(["bench", "--quick", "--repeats", "1",
-                  "--workloads", "bench_ssp",
-                  "--out", str(tmp_path / "r.json"),
-                  "--compare", str(tmp_path / "absent.json")])
-
 
 class TestCommittedBaseline:
-    """The repo ships two baselines; keep them loadable and consistent."""
+    """The dated full-scale report stays loadable and complete."""
 
     RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
     # ``bench_weighted`` postdates the dated full-scale baseline, which
-    # stays byte-identical; the quick CI baseline pins every workload.
+    # stays byte-identical.
     PRE_WEIGHTED = {"bench_weighted"}
 
-    def test_ci_baseline_is_quick_mode(self):
-        report = load_report(str(self.RESULTS / "baseline.json"))
-        assert report["mode"] == "quick"
-        assert set(report["workloads"]) == set(WORKLOADS)
-
     def test_dated_baseline_is_full_mode(self):
-        report = load_report(str(self.RESULTS / "BENCH_2026-08-06.json"))
+        path = self.RESULTS / "BENCH_2026-08-06.json"
+        report = json.loads(path.read_text())
+        assert report["schema"] == SCHEMA
         assert report["mode"] == "full"
         assert set(report["workloads"]) == set(WORKLOADS) - self.PRE_WEIGHTED

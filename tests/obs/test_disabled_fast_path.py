@@ -12,8 +12,9 @@ when a capture session is live.  This module pins all of it, with
   instance-level wrapper), and only captured networks get one;
 * golden-equivalence cases still reproduce their pinned metrics and
   result digests byte-for-byte;
-* the bench suite's deterministic counters still equal the committed
-  ``benchmarks/results/baseline.json`` (the regression gate's anchor).
+* the bench suite's deterministic counters still equal the quick-scale
+  pins in ``repro.bench.workloads`` (the counters ``repro bench``
+  checks).
 """
 
 import json
@@ -27,11 +28,6 @@ from repro.congest.network import Network
 from repro.core.apsp import ApspNode
 from repro.graphs.specs import parse_graph
 from repro.obs import is_enabled
-
-BASELINE = (
-    Path(__file__).resolve().parents[2]
-    / "benchmarks" / "results" / "baseline.json"
-)
 
 
 class TestInertByDefault:
@@ -81,19 +77,15 @@ class TestGoldensUnchanged:
 
 
 class TestBenchCountersUnchanged:
-    @pytest.fixture(scope="class")
-    def baseline(self):
-        return json.loads(BASELINE.read_text(encoding="utf-8"))
-
     @pytest.mark.parametrize("name", ["bench_apsp", "bench_ssp"])
-    def test_quick_counters_match_baseline(self, baseline, name):
+    def test_quick_counters_match_baseline(self, name):
         from repro.bench.workloads import WORKLOADS
 
-        pinned = baseline["workloads"][name]
+        rounds, messages, bits = WORKLOADS[name].quick_pins
         metrics = WORKLOADS[name].run(quick=True)
-        assert metrics.rounds == pinned["rounds"]
-        assert metrics.messages_total == pinned["messages"]
-        assert metrics.bits_total == pinned["bits"]
+        assert metrics.rounds == rounds
+        assert metrics.messages_total == messages
+        assert metrics.bits_total == bits
 
 
 class TestTracingIsObservationallyInvisible:
