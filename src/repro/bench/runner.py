@@ -1,9 +1,10 @@
 """Benchmark execution: timed repeats, machine-readable reports.
 
-Runs each :class:`~repro.bench.workloads.Workload` ``repeats`` times
-under ``time.perf_counter`` (pytest-independent — importing pytest or a
+Runs each :class:`~repro.bench.workloads.Workload` once untimed, to
+pay first-use costs (imports, caches), then ``repeats`` times under
+``time.perf_counter`` (pytest-independent — importing pytest or a
 plugin would distort exactly the hot path we are measuring), checks that
-the simulation itself is deterministic across repeats, and assembles a
+every timed run's counters equal the warm-up's, and assembles a
 JSON-pure report in the ``repro-bench/1`` schema documented in
 ``docs/benchmarks.md``.  :func:`check_pins` then compares the report's
 counters with the workloads' pins.
@@ -23,7 +24,7 @@ import time
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import percentile
 from .workloads import Workload, select
@@ -38,25 +39,31 @@ QUICK_REPEATS = 3
 COUNTERS = ("rounds", "messages", "bits")
 
 
+def _counters(metrics) -> Tuple[int, int, int]:
+    return metrics.rounds, metrics.messages_total, metrics.bits_total
+
+
 def run_workload(
     workload: Workload,
     *,
     quick: bool = False,
     repeats: Optional[int] = None,
 ) -> Dict[str, object]:
-    """Measure one workload; returns its JSON-pure report entry."""
+    """Measure one workload; returns its JSON-pure report entry.
+
+    One untimed warm-up run comes first; its counters are the reference
+    every timed run must repeat, so even ``repeats=1`` checks
+    determinism.
+    """
     repeats = repeats or (QUICK_REPEATS if quick else FULL_REPEATS)
+    reference = _counters(workload.run(quick))
     wall: List[float] = []
-    reference = None
     for _ in range(repeats):
         start = time.perf_counter()
         metrics = workload.run(quick)
         wall.append(time.perf_counter() - start)
-        snapshot = (metrics.rounds, metrics.messages_total,
-                    metrics.bits_total)
-        if reference is None:
-            reference = snapshot
-        elif snapshot != reference:
+        snapshot = _counters(metrics)
+        if snapshot != reference:
             raise AssertionError(
                 f"{workload.name}: non-deterministic run "
                 f"({snapshot} != {reference})"
@@ -96,11 +103,15 @@ def run_suite(
     (tests only) substitutes explicit workload objects; ``backend``
     forces every selected workload onto one execution engine (the pins
     hold on every backend, so ``backend="vector"`` with
-    :func:`check_pins` is the cross-backend counter gate).
+    :func:`check_pins` is the cross-backend counter gate).  Every
+    workload is checked against its protocol before the first run, so
+    one the backend cannot run raises ``ValueError`` with nothing timed.
     """
     chosen = tuple(workloads) if workloads is not None else select(names)
     if backend is not None:
         chosen = tuple(replace(w, backend=backend) for w in chosen)
+    for workload in chosen:
+        workload.check()
     entries: Dict[str, object] = {}
     for workload in chosen:
         if progress is not None:

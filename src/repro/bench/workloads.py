@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from ..graphs.specs import parse_graph
-from ..protocols import TaskError
+from ..protocols import TaskError, get as get_protocol
 from ..protocols import run as run_protocol
 
 
@@ -65,21 +65,36 @@ class Workload:
         """The committed counters at the requested scale."""
         return self.quick_pins if quick else self.pins
 
-    def run(self, quick: bool):
-        """Execute once; returns the run's :class:`RunMetrics`."""
-        graph = parse_graph(self.graph_spec(quick))
+    def _params(self, graph=None) -> Dict[str, Any]:
         params: Dict[str, Any] = dict(self.params)
         if self.sources:
             params["sources"] = [
-                s for s in self.sources if graph.has_node(s)
+                s for s in self.sources
+                if graph is None or graph.has_node(s)
             ]
         if self.epsilon is not None:
             params["epsilon"] = self.epsilon
         if self.backend != "object":
             params["backend"] = self.backend
+        return params
+
+    def check(self) -> None:
+        """Have the registry validate this workload, running nothing.
+
+        A protocol without a twin on the workload's backend fails here,
+        with the registry's rejection, before any workload is timed.
+        """
+        try:
+            get_protocol(self.algorithm).check_params(self._params())
+        except TaskError as exc:
+            raise ValueError(f"workload {self.name!r}: {exc}")
+
+    def run(self, quick: bool):
+        """Execute once; returns the run's :class:`RunMetrics`."""
+        graph = parse_graph(self.graph_spec(quick))
         try:
             outcome = run_protocol(
-                self.algorithm, graph, params, seed=self.seed
+                self.algorithm, graph, self._params(graph), seed=self.seed
             )
         except TaskError as exc:
             raise ValueError(

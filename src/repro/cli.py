@@ -251,7 +251,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             timeout_s=args.timeout,
             retries=args.retries,
             max_failures=args.max_failures,
-            fail_fast=args.fail_fast,
         )
     except harness.SpecError as exc:
         raise SystemExit(str(exc))
@@ -602,9 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "death) this many times with backoff")
     p.add_argument("--max-failures", type=int, default=None,
                    help="skip remaining tasks once this many failed")
-    p.add_argument("--fail-fast", action="store_true",
-                   help="stop scheduling new tasks after the first "
-                        "failure (same as --max-failures 1)")
     p.add_argument("--faults", default=None, metavar="JSON",
                    help="fault-injection spec applied to every task, "
                         "e.g. '{\"drop_rate\": 0.02, \"seed\": 7}'")
@@ -667,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="small smoke-scale instances (CI)")
     p.add_argument("--repeats", type=int, default=None,
-                   help="timed repeats per workload "
-                        "(default 5 full / 3 quick)")
+                   help="timed repeats per workload, after one "
+                        "untimed warm-up (default 5 full / 3 quick)")
     p.add_argument("--workloads", default=None,
                    help="comma-separated subset of the pinned suite "
                         "(large-n vector workloads are opt-in by name)")

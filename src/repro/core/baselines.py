@@ -312,7 +312,7 @@ _BASELINES = {
 
 def run_baseline_apsp(
     graph: Graph,
-    algorithm: str,
+    variant: str,
     *,
     seed: int = 0,
     bandwidth_bits: Optional[int] = None,
@@ -321,20 +321,20 @@ def run_baseline_apsp(
 ) -> ApspSummary:
     """Run one of the Section 3.1 baselines end to end.
 
-    ``algorithm`` is ``"sequential-bfs"``, ``"distance-vector"`` or
-    ``"link-state"``.
+    ``variant`` is ``"sequential-bfs"``, ``"distance-vector"``,
+    ``"distance-vector-delta"`` or ``"link-state"``.
     """
     validate_apsp_input(graph)
-    if algorithm == "sequential-bfs" and \
+    if variant == "sequential-bfs" and \
             graph.nodes != tuple(range(1, graph.n + 1)):
         raise GraphError(
             "sequential-bfs scheduling needs node ids 1..n; relabel first"
         )
     try:
-        factory = _BASELINES[algorithm]
+        factory = _BASELINES[variant]
     except KeyError:
         raise GraphError(
-            f"unknown baseline {algorithm!r}; expected one of "
+            f"unknown baseline {variant!r}; expected one of "
             f"{sorted(_BASELINES)}"
         )
     outcome = execute(

@@ -47,7 +47,7 @@ from .cache import RunCache
 from .campaign import CampaignSummary, run_campaign, run_tasks
 from .hashing import CODE_VERSION, canonical_json, task_key
 from .progress import ProgressReporter
-from .runner import available_algorithms, execute_task
+from .runner import execute_task
 from .spec import CampaignSpec, SpecError, Task, expand_spec, load_spec
 from .store import ResultStore, strip_timing
 
@@ -60,7 +60,6 @@ __all__ = [
     "RunCache",
     "SpecError",
     "Task",
-    "available_algorithms",
     "canonical_json",
     "execute_task",
     "expand_spec",

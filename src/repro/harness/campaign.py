@@ -23,9 +23,8 @@ against hostile tasks (docs/harness.md):
   budget per task: up to ``retries`` reruns with exponential backoff;
   deterministic in-task exceptions are *not* retried — rerunning them
   cannot help;
-* ``max_failures`` / ``fail_fast`` stop scheduling new tasks and
-  retries once the failure budget is spent; unscheduled tasks get
-  ``Skipped`` records.
+* ``max_failures`` stops scheduling new tasks and retries once the
+  failure budget is spent; unscheduled tasks get ``Skipped`` records.
 
 Every record carries the task's content ``key`` plus a ``timing`` block
 (``elapsed_s``, ``cache_hit``) which is the *only* non-deterministic
@@ -162,7 +161,6 @@ def run_tasks(
     retries: int = 0,
     backoff_s: float = 0.5,
     max_failures: Optional[int] = None,
-    fail_fast: bool = False,
 ) -> CampaignSummary:
     """Execute ``tasks``, reusing cached runs; records come back in order.
 
@@ -175,8 +173,8 @@ def run_tasks(
     each task's wall clock (forces pool execution even with one
     worker, so the overdue worker can be killed); ``retries`` reruns
     transient failures with ``backoff_s * 2**attempt`` pauses;
-    ``max_failures`` / ``fail_fast`` cap how many failures the
-    campaign tolerates before skipping the rest.
+    ``max_failures`` caps how many failures the campaign tolerates
+    before skipping the rest.
     """
     started = time.perf_counter()
     if cache is None and cache_dir is not None:
@@ -231,10 +229,8 @@ def run_tasks(
         if progress:
             progress.task_done(cache_hit=False)
 
-    failure_limit = 1 if fail_fast else max_failures
-
     def limit_reached() -> bool:
-        return failure_limit is not None and summary.failures >= failure_limit
+        return max_failures is not None and summary.failures >= max_failures
 
     queue = deque(pending)
     # The in-process fast path cannot kill overdue tasks, survive a
@@ -330,15 +326,14 @@ def run_campaign(
     retries: int = 0,
     backoff_s: float = 0.5,
     max_failures: Optional[int] = None,
-    fail_fast: bool = False,
 ) -> CampaignSummary:
     """Expand a sweep spec and run it end to end.
 
     When ``store_path`` is given the records land there as JSONL;
     unless ``append`` is set the store is truncated first so repeated
     invocations stay byte-comparable.  The hardening knobs
-    (``timeout_s``, ``retries``, ``backoff_s``, ``max_failures``,
-    ``fail_fast``) pass straight through to :func:`run_tasks`.
+    (``timeout_s``, ``retries``, ``backoff_s``, ``max_failures``) pass
+    straight through to :func:`run_tasks`.
     """
     if not isinstance(spec, CampaignSpec):
         spec = CampaignSpec.from_dict(spec)
@@ -366,5 +361,4 @@ def run_campaign(
         retries=retries,
         backoff_s=backoff_s,
         max_failures=max_failures,
-        fail_fast=fail_fast,
     )

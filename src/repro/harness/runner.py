@@ -28,22 +28,13 @@ of the stored error-record contract.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from ..graphs.specs import parse_graph
-from ..protocols import TaskError, get as get_protocol, names
+from ..protocols import TaskError, get as get_protocol
 from .spec import Task
 
-__all__ = ["TaskError", "available_algorithms", "execute_task"]
-
-
-def available_algorithms() -> List[str]:
-    """Algorithm names :func:`execute_task` accepts, sorted.
-
-    Derived from the protocol registry — the same inventory the CLI,
-    the benchmark suite and ``repro trace run`` see.
-    """
-    return names()
+__all__ = ["TaskError", "execute_task"]
 
 
 def execute_task(task: Task) -> Dict[str, Any]:

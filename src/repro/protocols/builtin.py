@@ -2,12 +2,13 @@
 
 This module is the *single source of truth* for algorithm dispatch.
 Each :func:`~.registry.register` call below binds together a
-``core.run_*`` entry point, its parameter schema, its capability
-flags, the JSON-pure summary the harness stores, and (for the
-user-facing algorithms) the CLI subcommand presentation.  The campaign
-harness, ``repro`` subcommands, ``repro trace run``, the benchmark
-workloads and the experiments all dispatch through this registry —
-none of them keeps an algorithm table of its own.
+``core.run_*`` entry point (and its :mod:`repro.vector` twin, where one
+exists), its parameter schema, its capability flags, the JSON-pure
+summary the harness stores, and (for the user-facing algorithms) the
+CLI subcommand presentation.  The campaign harness, ``repro``
+subcommands, ``repro trace run``, the benchmark workloads and the
+experiments all dispatch through this registry — none of them keeps
+an algorithm table of its own.
 """
 
 from __future__ import annotations
@@ -55,20 +56,6 @@ def _csv(text: Optional[str], cast=str) -> List:
 # ---------------------------------------------------------------------------
 
 
-def _apsp_run(req: RunRequest):
-    return core.run_apsp(
-        req.graph, collect_girth=req.params["collect_girth"],
-        **req.common.kwargs(),
-    )
-
-
-def _apsp_vector_run(req: RunRequest):
-    return vector.run_apsp(
-        req.graph, collect_girth=req.params["collect_girth"],
-        **req.common.kwargs(),
-    )
-
-
 def _diameter_radius(summary) -> Dict[str, int]:
     """An APSP summary's diameter and radius, from one walk over its rows."""
     eccentricities = summary.eccentricities().values()
@@ -89,16 +76,14 @@ def _apsp_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="apsp",
-    entry_point="core.run_apsp",
-    run=_apsp_run,
+    entry=core.run_apsp,
+    vector_entry=vector.run_apsp,
     summarize=lambda s, req: _diameter_radius(s),
     schema=(
         ParamSpec("collect_girth", kind="bool", default=False,
                   help="also collect the Lemma 7 girth witnesses"),
     ),
-    capabilities=frozenset({"faults", "trace", "girth", "vector"}),
-    vector_run=_apsp_vector_run,
-    vector_entry_point="vector.run_apsp",
+    capabilities=frozenset({"faults", "trace", "girth"}),
     help="Algorithm 1: APSP in O(n)",
     cli=CliSpec(
         help="Algorithm 1: APSP in O(n)",
@@ -121,23 +106,11 @@ def _ssp_check(params: Dict[str, Any]) -> None:
         raise ParamError("ssp needs 'sources' or 'num_sources'")
 
 
-def _ssp_sources(req: RunRequest):
+def _ssp_call(entry, req: RunRequest):
     sources = req.params.get("sources")
     if sources is None:
         sources = sorted(req.graph.nodes)[: req.params["num_sources"]]
-    return sources
-
-
-def _ssp_run(req: RunRequest):
-    return core.run_ssp(
-        req.graph, _ssp_sources(req), **req.common.kwargs()
-    )
-
-
-def _ssp_vector_run(req: RunRequest):
-    return vector.run_ssp(
-        req.graph, _ssp_sources(req), **req.common.kwargs()
-    )
+    return entry(req.graph, sources, **req.common.kwargs())
 
 
 def _ssp_summarize(summary, req: RunRequest) -> Dict[str, Any]:
@@ -163,8 +136,9 @@ def _ssp_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="ssp",
-    entry_point="core.run_ssp",
-    run=_ssp_run,
+    entry=core.run_ssp,
+    vector_entry=vector.run_ssp,
+    adapter=_ssp_call,
     summarize=_ssp_summarize,
     schema=(
         ParamSpec("sources", kind="int_list", example=[1],
@@ -173,9 +147,7 @@ register(Protocol(
                   help="use the num_sources smallest node ids"),
     ),
     check=_ssp_check,
-    capabilities=frozenset({"faults", "trace", "vector"}),
-    vector_run=_ssp_vector_run,
-    vector_entry_point="vector.run_ssp",
+    capabilities=frozenset({"faults", "trace"}),
     help="Algorithm 2: S-SP in O(|S|+D)",
     cli=CliSpec(
         help="Algorithm 2: S-SP in O(|S|+D)",
@@ -196,22 +168,6 @@ register(Protocol(
 # ---------------------------------------------------------------------------
 # properties — Lemmas 2-7
 # ---------------------------------------------------------------------------
-
-
-def _properties_run(req: RunRequest):
-    return core.run_graph_properties(
-        req.graph, include_girth=req.params["include_girth"],
-        track_edges=req.params["track_edges"],
-        **req.common.kwargs(),
-    )
-
-
-def _properties_vector_run(req: RunRequest):
-    return vector.run_graph_properties(
-        req.graph, include_girth=req.params["include_girth"],
-        track_edges=req.params["track_edges"],
-        **req.common.kwargs(),
-    )
 
 
 def _properties_summarize(summary, req: RunRequest) -> Dict[str, Any]:
@@ -239,8 +195,8 @@ def _properties_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="properties",
-    entry_point="core.run_graph_properties",
-    run=_properties_run,
+    entry=core.run_graph_properties,
+    vector_entry=vector.run_graph_properties,
     summarize=_properties_summarize,
     schema=(
         ParamSpec("include_girth", kind="bool", default=True,
@@ -248,9 +204,7 @@ register(Protocol(
         ParamSpec("track_edges", kind="bool", default=False,
                   help="record per-edge bit counters (cut analyses)"),
     ),
-    capabilities=frozenset({"faults", "trace", "girth", "vector"}),
-    vector_run=_properties_vector_run,
-    vector_entry_point="vector.run_graph_properties",
+    capabilities=frozenset({"faults", "trace", "girth"}),
     help="Lemmas 2-7: all exact properties",
     cli=CliSpec(
         help="Lemmas 2-7: all exact properties",
@@ -276,10 +230,7 @@ def _approx_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="approx",
-    entry_point="core.run_approx_properties",
-    run=lambda req: core.run_approx_properties(
-        req.graph, req.params["epsilon"], **req.common.kwargs()
-    ),
+    entry=core.run_approx_properties,
     summarize=lambda s, req: {
         "epsilon": req.params["epsilon"],
         "diameter_estimate": s.diameter_estimate,
@@ -319,16 +270,10 @@ def _girth_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="girth",
-    entry_point="core.run_exact_girth",
-    run=lambda req: core.run_exact_girth(
-        req.graph, **req.common.kwargs()
-    ),
+    entry=core.run_exact_girth,
+    vector_entry=vector.run_exact_girth,
     summarize=lambda s, req: {"girth": s.girth},
-    capabilities=frozenset({"faults", "trace", "girth", "vector"}),
-    vector_run=lambda req: vector.run_exact_girth(
-        req.graph, **req.common.kwargs()
-    ),
-    vector_entry_point="vector.run_exact_girth",
+    capabilities=frozenset({"faults", "trace", "girth"}),
     smoke_graph="cycle:9",
     help="Lemma 7 / Theorem 5",
     cli=CliSpec(
@@ -353,10 +298,7 @@ register(Protocol(
 
 register(Protocol(
     name="girth-approx",
-    entry_point="core.run_approx_girth",
-    run=lambda req: core.run_approx_girth(
-        req.graph, req.params["epsilon"], **req.common.kwargs()
-    ),
+    entry=core.run_approx_girth,
     summarize=lambda s, req: {
         "epsilon": req.params["epsilon"], "girth": s.girth,
     },
@@ -401,10 +343,7 @@ def _two_vs_four_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="two-vs-four",
-    entry_point="core.run_two_vs_four",
-    run=lambda req: core.run_two_vs_four(
-        req.graph, **req.common.kwargs()
-    ),
+    entry=core.run_two_vs_four,
     summarize=lambda s, req: {
         "diameter": s.diameter, "branch": s.branch,
     },
@@ -448,10 +387,7 @@ def _baseline_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="baseline",
-    entry_point="core.run_baseline_apsp",
-    run=lambda req: core.run_baseline_apsp(
-        req.graph, req.params["variant"], **req.common.kwargs()
-    ),
+    entry=core.run_baseline_apsp,
     summarize=lambda s, req: {
         "variant": req.params["variant"], **_diameter_radius(s),
     },
@@ -488,10 +424,7 @@ def _leader_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="leader",
-    entry_point="core.run_leader_election",
-    run=lambda req: core.run_leader_election(
-        req.graph, **req.common.kwargs()
-    ),
+    entry=core.run_leader_election,
     summarize=lambda s, req: {
         "leader": next(iter(s[0].values())).leader,
     },
@@ -514,8 +447,7 @@ register(Protocol(
 
 register(Protocol(
     name="remark1",
-    entry_point="core.run_remark1",
-    run=lambda req: core.run_remark1(req.graph, **req.common.kwargs()),
+    entry=core.run_remark1,
     summarize=lambda s, req: {
         "diameter_estimate":
             next(iter(s[0].values())).diameter_estimate,
@@ -530,28 +462,21 @@ register(Protocol(
 
 register(Protocol(
     name="bfs",
-    entry_point="core.run_bfs",
-    run=lambda req: core.run_bfs(req.graph, **req.common.kwargs()),
+    entry=core.run_bfs,
+    vector_entry=vector.run_bfs,
     summarize=lambda s, req: {
         "ecc_root": next(iter(s[0].values())).ecc_root,
         "max_depth": max(r.depth for r in s[0].values()),
     },
     metrics_of=lambda s: s[1],
-    capabilities=frozenset({"faults", "trace", "vector"}),
-    vector_run=lambda req: vector.run_bfs(
-        req.graph, **req.common.kwargs()
-    ),
-    vector_entry_point="vector.run_bfs",
+    capabilities=frozenset({"faults", "trace"}),
     help="one BFS + echo from node 1 in O(D)",
 ))
 
 
 register(Protocol(
     name="tree-check",
-    entry_point="core.run_tree_check",
-    run=lambda req: core.run_tree_check(
-        req.graph, **req.common.kwargs()
-    ),
+    entry=core.run_tree_check,
     summarize=lambda s, req: {"is_tree": bool(s[0])},
     metrics_of=lambda s: s[1],
     capabilities=frozenset({"faults", "trace"}),
@@ -561,11 +486,7 @@ register(Protocol(
 
 register(Protocol(
     name="k-bfs",
-    entry_point="core.run_k_bfs",
-    run=lambda req: core.run_k_bfs(
-        req.graph, req.params["sources"], req.params["k"],
-        **req.common.kwargs(),
-    ),
+    entry=core.run_k_bfs,
     summarize=lambda s, req: {
         "k": req.params["k"],
         "sources": sorted(req.params["sources"]),
@@ -585,10 +506,7 @@ register(Protocol(
 
 register(Protocol(
     name="all-two-bfs",
-    entry_point="core.run_all_two_bfs",
-    run=lambda req: core.run_all_two_bfs(
-        req.graph, **req.common.kwargs()
-    ),
+    entry=core.run_all_two_bfs,
     summarize=lambda s, req: {
         "all_trees_complete":
             bool(next(iter(s[0].values())).all_trees_complete),
@@ -601,10 +519,7 @@ register(Protocol(
 
 register(Protocol(
     name="dominating-set",
-    entry_point="core.run_dominating_set",
-    run=lambda req: core.run_dominating_set(
-        req.graph, req.params["k"], **req.common.kwargs()
-    ),
+    entry=core.run_dominating_set,
     summarize=lambda s, req: {
         "k": req.params["k"],
         "size": next(iter(s[0].values())).size,
@@ -621,10 +536,7 @@ register(Protocol(
 
 register(Protocol(
     name="prt-diameter",
-    entry_point="core.run_prt_diameter",
-    run=lambda req: core.run_prt_diameter(
-        req.graph, **req.common.kwargs()
-    ),
+    entry=core.run_prt_diameter,
     summarize=lambda s, req: {"estimate": s.estimate},
     capabilities=frozenset({"faults", "trace"}),
     help="Section 3.6 companion: the (x,3/2) diameter estimator",
@@ -633,10 +545,7 @@ register(Protocol(
 
 register(Protocol(
     name="pebble",
-    entry_point="core.run_pebble_traversal",
-    run=lambda req: core.run_pebble_traversal(
-        req.graph, **req.common.kwargs()
-    ),
+    entry=core.run_pebble_traversal,
     summarize=lambda s, req: {
         "visited": len(s[0]),
         "last_visit_round":
@@ -653,12 +562,12 @@ register(Protocol(
 # ---------------------------------------------------------------------------
 
 
-def _weighted_run(req: RunRequest):
+def _weighted_call(entry, req: RunRequest):
     weighted = deterministic_weights(
         req.graph, req.params["max_weight"],
         seed=req.params["weight_seed"],
     )
-    return run_weighted_apsp(weighted, **req.common.kwargs())
+    return entry(weighted, **req.common.kwargs())
 
 
 def _weighted_present(args, graph, outcome: RunOutcome) -> None:
@@ -672,8 +581,8 @@ def _weighted_present(args, graph, outcome: RunOutcome) -> None:
 
 register(Protocol(
     name="weighted-apsp",
-    entry_point="graphs.run_weighted_apsp",
-    run=_weighted_run,
+    entry=run_weighted_apsp,
+    adapter=_weighted_call,
     summarize=lambda s, req: {
         "max_weight": s.max_weight,
         "expanded_n": s.expanded_n,
@@ -710,19 +619,18 @@ register(Protocol(
 # ---------------------------------------------------------------------------
 
 
-def _chaos_run(req: RunRequest):
+def _chaos_run(graph, mode: str, seconds: float, **simulator_axes):
     """A deliberately hostile task for exercising harness hardening.
 
     Modes: ``ok`` (succeed with an empty metrics block), ``error``
     (raise :class:`TaskError`), ``hang`` (sleep ``seconds`` — pair it
     with the campaign timeout), ``crash`` (kill the worker process
-    outright).  Real campaigns never use this; tests and the CI
-    fault-smoke job use it to prove timeouts, retries and crash
-    isolation work end to end.
+    outright).  The graph and the simulator axes are ignored.  Real
+    campaigns never use this; tests and the CI fault-smoke job use it
+    to prove timeouts, retries and crash isolation work end to end.
     """
-    mode = req.params["mode"]
     if mode == "hang":
-        time.sleep(req.params["seconds"])
+        time.sleep(seconds)
     elif mode == "crash":
         os._exit(13)
     elif mode == "error":
@@ -734,8 +642,7 @@ def _chaos_run(req: RunRequest):
 
 register(Protocol(
     name="chaos",
-    entry_point="protocols.builtin._chaos_run",
-    run=_chaos_run,
+    entry=_chaos_run,
     summarize=lambda s, req: s[0],
     metrics_of=lambda s: s[1],
     schema=(

@@ -3,10 +3,12 @@
 A :class:`Protocol` bundles everything the rest of the codebase needs
 to know about one algorithm:
 
-* the ``core.run_*`` entry point (as a callable and as a dotted name
-  for static drift checks),
+* the engine functions themselves: the ``core.run_*`` entry point
+  and, where one exists, its numpy twin in :mod:`repro.vector`,
 * a typed parameter schema (:mod:`.params`) with coercion/validation,
-* capability flags (``faults`` / ``trace`` / ``girth`` / ``weighted``),
+  whose names are the entry point's keywords,
+* capability flags (``faults`` / ``trace`` / ``girth`` / ``weighted``,
+  and the derived ``vector``),
 * hooks turning the native summary into a JSON-pure result record, and
 * optional CLI presentation metadata (:class:`CliSpec`).
 
@@ -19,6 +21,7 @@ so an algorithm registered here is automatically available everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -40,7 +43,9 @@ from .params import CommonParams, ParamSpec, split_common, validate_params
 #: protocols also work under ``repro campaign --trace``); ``girth``:
 #: computes girth information; ``weighted``: consumes weighted input
 #: via the subdivision reduction; ``vector``: runnable on the numpy
-#: round engine (:mod:`repro.vector`) via ``backend="vector"``.
+#: round engine (:mod:`repro.vector`) via ``backend="vector"`` —
+#: derived, not declared: a protocol has it exactly when it sets
+#: ``vector_entry``.
 CAPABILITIES = frozenset({"faults", "trace", "girth", "weighted", "vector"})
 
 
@@ -74,6 +79,11 @@ class RunOutcome:
 def default_metrics_of(summary: Any) -> RunMetrics:
     """Default ``metrics_of`` hook: the summary's ``.metrics``."""
     return summary.metrics
+
+
+def call_entry(entry: Callable[..., Any], req: RunRequest) -> Any:
+    """Default ``adapter``: the schema's params are ``entry``'s keywords."""
+    return entry(req.graph, **req.params, **req.common.kwargs())
 
 
 @dataclass(frozen=True)
@@ -115,17 +125,25 @@ class CliSpec:
 
 @dataclass(frozen=True)
 class Protocol:
-    """One registered algorithm (see module docstring)."""
+    """One registered algorithm (see module docstring).
+
+    ``run`` and ``vector_run`` are derived from the declaration: each
+    is ``adapter`` bound to one engine function, and ``vector_run`` is
+    ``None`` when there is no numpy twin.
+    """
 
     name: str
-    #: Dotted location of the public entry point, e.g.
-    #: ``"core.run_apsp"`` — the hook static drift checks key on.
-    entry_point: str
-    #: Execute the validated request; returns the native summary.
-    run: Callable[[RunRequest], Any]
+    #: The engine function, e.g. ``core.run_apsp``.
+    entry: Callable[..., Any]
     #: Native summary → JSON-pure result dict (not called for
     #: degraded runs).
     summarize: Callable[[Any, RunRequest], Dict[str, Any]]
+    #: The numpy twin of ``entry``, e.g. ``vector.run_apsp``; setting it
+    #: is what gives the protocol the ``vector`` capability.
+    vector_entry: Optional[Callable[..., Any]] = None
+    #: ``adapter(engine_function, request)`` runs a validated request
+    #: on either engine (default: :func:`call_entry`).
+    adapter: Callable[[Callable[..., Any], RunRequest], Any] = call_entry
     #: Native summary → :class:`RunMetrics` (default: ``.metrics``).
     metrics_of: Callable[[Any], RunMetrics] = default_metrics_of
     schema: Tuple[ParamSpec, ...] = ()
@@ -137,12 +155,14 @@ class Protocol:
     smoke_graph: str = "path:6"
     help: str = ""
     cli: Optional[CliSpec] = None
-    #: Execute the validated request on the numpy round engine.  Set
-    #: exactly when the ``vector`` capability is declared.
-    vector_run: Optional[Callable[[RunRequest], Any]] = None
-    #: Dotted location of the vector twin, e.g. ``"vector.run_apsp"``
-    #: — the hook static drift checks key on.
-    vector_entry_point: Optional[str] = None
+    #: Execute the validated request on the object engine.
+    run: Callable[[RunRequest], Any] = field(
+        init=False, repr=False, compare=False
+    )
+    #: Execute the validated request on the numpy round engine.
+    vector_run: Optional[Callable[[RunRequest], Any]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         extra = self.capabilities - CAPABILITIES
@@ -152,22 +172,20 @@ class Protocol:
                 f"{sorted(extra)}; expected a subset of "
                 f"{sorted(CAPABILITIES)}"
             )
-        has_vector = "vector" in self.capabilities
-        if has_vector != (
-            self.vector_run is not None
-            and self.vector_entry_point is not None
-        ):
-            raise ValueError(
-                f"protocol {self.name!r}: the 'vector' capability and "
-                f"the vector_run/vector_entry_point hooks must be "
-                f"declared together"
-            )
+        capabilities = self.capabilities - {"vector"}
+        vector_run = None
+        if self.vector_entry is not None:
+            capabilities |= {"vector"}
+            vector_run = partial(self.adapter, self.vector_entry)
+        object.__setattr__(self, "capabilities", capabilities)
+        object.__setattr__(self, "run", partial(self.adapter, self.entry))
+        object.__setattr__(self, "vector_run", vector_run)
 
     def available_backends(self) -> Tuple[str, ...]:
         """The backends this protocol can actually run on right now.
 
-        ``vector`` is reported only when the protocol declares the
-        capability *and* numpy is installed — this is what the CLI and the
+        ``vector`` is reported only when the protocol has a vector twin
+        *and* numpy is installed — this is what the CLI and the
         capability listings surface.
         """
         from ..vector import unsupported
@@ -207,21 +225,18 @@ class Protocol:
         return RunRequest(graph=graph, params=coerced, common=common)
 
     def check_params(self, params: Mapping[str, Any]) -> None:
-        """Schema-validate ``params`` without running anything.
+        """Validate ``params`` as :meth:`request` does, running nothing.
 
         This is the spec-expansion entry point: campaign specs call it
         for every expanded task so malformed parameters are rejected
         before any worker spawns.  The ``trace`` marker the harness
         merges into traced tasks is tolerated here (it is a pipeline
-        flag, not an algorithm parameter).
+        flag, not an algorithm parameter).  No graph is needed: none
+        takes part in validation.
         """
         rest = dict(params)
         rest.pop("trace", None)
-        common, rest = split_common(self.name, rest)
-        self._check_backend(common)
-        coerced = validate_params(self.name, self.schema, rest)
-        if self.check is not None:
-            self.check(coerced)
+        self.request(None, rest)
 
     def execute(
         self, graph: Graph, params: Optional[Mapping[str, Any]] = None

@@ -9,16 +9,16 @@ re-running the simulation.  Only a cold miss on both tiers costs a
 protocol run.
 
 Eviction is whole-matrix LRU: when the in-memory budget is exceeded the
-least-recently-touched family is dropped (its rows remain on disk).
-The currently-touched family is never evicted, so a single matrix
-larger than the budget still serves queries; it just will not keep
-neighbors resident.
+least-recently-touched family is dropped (its rows remain on disk), and
+``on_evict`` hears of it.  The currently-touched family is never
+evicted, so a single matrix larger than the budget still serves
+queries; it just will not keep neighbors resident.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from ..harness.cache import RunCache
 from .matrix import (
@@ -47,6 +47,9 @@ class MatrixCache:
             OrderedDict()
         )
         self.evictions = 0
+        #: Called with each evicted family, so per-family state kept
+        #: elsewhere is bounded by this LRU too.
+        self.on_evict: Optional[Callable[[QueryFamily], None]] = None
 
     # -- accounting --------------------------------------------------------
 
@@ -57,6 +60,9 @@ class MatrixCache:
 
     def __len__(self) -> int:
         return len(self._matrices)
+
+    def __contains__(self, family: QueryFamily) -> bool:
+        return family in self._matrices
 
     def _touch(self, family: QueryFamily) -> None:
         self._matrices.move_to_end(family)
@@ -70,6 +76,8 @@ class MatrixCache:
                 continue
             del self._matrices[oldest]
             self.evictions += 1
+            if self.on_evict is not None:
+                self.on_evict(oldest)
 
     # -- resident matrices -------------------------------------------------
 

@@ -305,7 +305,9 @@ class DistanceServer:
             pool=self.supervisor, max_batch=config.max_batch,
         )
         #: Failing families -> whether their probe compute is running.
+        #: Only families with a resident matrix: an eviction forgets one.
         self._failing: Dict[QueryFamily, bool] = {}
+        self.service.cache.on_evict = self._forget_failing
         self._failed_fast = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopping = False
@@ -402,7 +404,8 @@ class DistanceServer:
         probe.  While the probe runs, every other compute of the family
         raises :class:`FamilyFailing` without being submitted, so a
         failing family holds at most one worker.  Any successful
-        compute of the family clears it.
+        compute of the family clears it, and so does the eviction of its
+        matrix: a failure of a family no longer resident is not kept.
         """
         probing = self._failing.get(family)
         if probing:
@@ -414,7 +417,8 @@ class DistanceServer:
         try:
             await compute(family, *args)
         except (DeadlineExceeded, ComputeFailed):
-            self._failing.setdefault(family, False)
+            if family in self.service.cache:
+                self._failing.setdefault(family, False)
             raise
         else:
             self._failing.pop(family, None)
@@ -422,6 +426,9 @@ class DistanceServer:
             # The probe is over, whatever its outcome.
             if probe and self._failing.get(family):
                 self._failing[family] = False
+
+    def _forget_failing(self, family: QueryFamily) -> None:
+        self._failing.pop(family, None)
 
     # -- readiness / admission snapshots -----------------------------------
 

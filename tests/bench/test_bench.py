@@ -8,8 +8,10 @@ schema, determinism enforcement, the pinned-counter check, and the CLI
 
 import copy
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,6 +40,26 @@ TINY = Workload(
 def tiny_report(**overrides):
     report = run_suite(workloads=[TINY], repeats=2, **overrides)
     return report
+
+
+class Scripted:
+    """A stand-in workload: each run sleeps, then reports given rounds."""
+
+    name = "scripted"
+    algorithm = "apsp"
+    backend = "object"
+    seed = 0
+
+    def __init__(self, *runs):
+        self.runs = list(runs)  # (seconds, rounds) per run, in order
+
+    def graph_spec(self, quick):
+        return "path:4"
+
+    def run(self, quick):
+        seconds, rounds = self.runs.pop(0)
+        time.sleep(seconds)
+        return SimpleNamespace(rounds=rounds, messages_total=1, bits_total=1)
 
 
 class TestWorkloads:
@@ -88,6 +110,19 @@ class TestRunner:
         assert entry["wall_s"]["median"] <= entry["wall_s"]["max"]
         assert entry["rounds"] > 0 and entry["messages"] > 0
         assert entry["bits"] > 0
+
+    def test_first_use_cost_is_not_timed(self):
+        slow_first = Scripted((0.3, 7), (0.0, 7), (0.0, 7))
+        entry = run_workload(slow_first, repeats=2)
+        assert slow_first.runs == []
+        assert entry["repeats"] == 2
+        assert entry["wall_s"]["max"] < 0.3
+        assert entry["rounds"] == 7
+
+    def test_one_repeat_still_checks_determinism(self):
+        drifting = Scripted((0.0, 7), (0.0, 8))
+        with pytest.raises(AssertionError, match="non-deterministic"):
+            run_workload(drifting, repeats=1)
 
     def test_quick_uses_quick_graph(self):
         entry = run_workload(TINY, quick=True, repeats=1)
@@ -192,6 +227,22 @@ class TestCli:
     def test_bench_unknown_workload_exits(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--quick", "--workloads", "bench_nope"])
+
+    def test_bench_backend_without_twin_exits_before_any_run(
+        self, tmp_path, capsys
+    ):
+        # bench_apsp and bench_ssp could run on the vector engine;
+        # bench_two_vs_four, third in the suite, cannot.
+        pytest.importorskip("numpy")
+        out_path = tmp_path / "v.json"
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--quick", "--backend", "vector",
+                  "--out", str(out_path)])
+        assert "workload 'bench_two_vs_four'" in str(info.value)
+        assert "not supported" in str(info.value)
+        out, _ = capsys.readouterr()
+        assert out == ""
+        assert not out_path.exists()
 
 
 class TestCommittedBaseline:

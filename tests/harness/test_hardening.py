@@ -109,12 +109,6 @@ class TestFailureLimits:
             "TaskError", "TaskError", "Skipped", "Skipped", "Skipped",
         ]
 
-    def test_fail_fast_is_max_failures_one(self):
-        tasks = [_chaos("error", seed=i) for i in range(3)]
-        summary = run_tasks(tasks, fail_fast=True)
-        assert summary.failures == 1
-        assert summary.skipped == 2
-
     def test_limits_apply_under_the_pool_too(self):
         tasks = [_chaos("error", seed=i) for i in range(6)]
         summary = run_tasks(tasks, jobs=2, max_failures=2)
@@ -124,7 +118,7 @@ class TestFailureLimits:
 
     def test_describe_reports_the_new_counters(self):
         summary = run_tasks(
-            [_chaos("error"), _chaos("error", seed=1)], fail_fast=True
+            [_chaos("error"), _chaos("error", seed=1)], max_failures=1
         )
         text = summary.describe()
         assert "1 FAILED" in text
@@ -172,7 +166,7 @@ class TestRunCampaignThreading:
         })
         out = tmp_path / "hostile.jsonl"
         summary = run_campaign(
-            spec, store_path=out, fail_fast=True
+            spec, store_path=out, max_failures=1
         )
         assert summary.failures == 1
         assert summary.skipped == 2

@@ -158,7 +158,7 @@ def test_campaign_retry_overtaken_by_the_failure_limit_is_skipped():
             Task.make("path:4", "chaos", {"mode": "error"}),
             Task.make("path:4", "chaos", {"mode": "hang", "seconds": 60}),
         ],
-        jobs=2, timeout_s=0.5, retries=3, backoff_s=0.0, fail_fast=True,
+        jobs=2, timeout_s=0.5, retries=3, backoff_s=0.0, max_failures=1,
     )
     types = [r["error"]["type"] for r in summary.records]
     assert types == ["TaskError", "Skipped"]

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import core, graphs
+from repro import core, graphs, protocols
 from repro.congest.metrics import RunMetrics
-from repro.harness import Task, available_algorithms, execute_task
+from repro.harness import Task, execute_task
 from repro.harness.runner import TaskError
 
 
@@ -114,15 +114,10 @@ def test_policy_axis_reaches_the_network():
 
 
 def test_available_algorithms_inventory():
-    assert available_algorithms() == sorted([
+    # execute_task accepts exactly the registry's names.
+    assert protocols.names() == sorted([
         "apsp", "ssp", "properties", "approx", "girth", "girth-approx",
         "two-vs-four", "baseline", "leader", "chaos",
         "remark1", "bfs", "tree-check", "k-bfs", "all-two-bfs",
         "dominating-set", "prt-diameter", "pebble", "weighted-apsp",
     ])
-
-
-def test_available_algorithms_is_the_registry():
-    from repro import protocols
-
-    assert available_algorithms() == protocols.names()

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import core, protocols
+from repro import core, protocols, vector
 from repro.congest.metrics import RunMetrics
 from repro.graphs.specs import parse_graph
 from repro.protocols import CAPABILITIES, TaskError
@@ -28,25 +28,37 @@ def smoke_params(protocol):
 
 def test_every_core_entry_point_is_registered():
     public = {
-        name for name in dir(core)
+        getattr(core, name) for name in dir(core)
         if name.startswith("run_") and callable(getattr(core, name))
     }
-    registered = {
-        p.entry_point.split(".", 1)[1]
-        for p in ALL if p.entry_point.startswith("core.")
+    registered = {p.entry for p in ALL}
+    assert public <= registered
+    # Besides core: the weighted reduction and the hostile test task.
+    assert {p.name for p in ALL if p.entry not in public} == {
+        "weighted-apsp", "chaos",
     }
-    assert public == registered
 
 
 def test_entry_points_resolve_to_callables():
-    import importlib
-
+    # Each vector twin is repro.vector's function of its entry's name.
     for protocol in ALL:
-        parts = protocol.entry_point.split(".")
-        module = importlib.import_module(
-            "repro." + ".".join(parts[:-1])
-        )
-        assert callable(getattr(module, parts[-1])), protocol.name
+        assert callable(protocol.entry), protocol.name
+        if protocol.vector_entry is not None:
+            twin = getattr(vector, protocol.entry.__name__)
+            assert protocol.vector_entry is twin, protocol.name
+
+
+def test_vector_capability_is_derived_from_the_twin():
+    for protocol in ALL:
+        has_twin = protocol.vector_entry is not None
+        assert ("vector" in protocol.capabilities) == has_twin
+        assert (protocol.vector_run is not None) == has_twin
+    declared = protocols.Protocol(
+        name="x", entry=core.run_bfs, summarize=lambda s, req: {},
+        capabilities=frozenset({"faults", "vector"}),
+    )
+    assert declared.capabilities == {"faults"}
+    assert declared.vector_run is None
 
 
 def test_names_are_sorted_and_unique():
@@ -64,8 +76,7 @@ def test_capabilities_come_from_the_vocabulary():
 def test_unknown_capability_rejected_at_construction():
     with pytest.raises(ValueError, match="unknown capabilities"):
         protocols.Protocol(
-            name="x", entry_point="core.run_apsp",
-            run=lambda req: None, summarize=lambda s, req: {},
+            name="x", entry=core.run_apsp, summarize=lambda s, req: {},
             capabilities=frozenset({"quantum"}),
         )
 
@@ -84,13 +95,19 @@ def test_unknown_protocol_error_lists_available():
     "protocol", ALL, ids=lambda p: p.name
 )
 def test_smoke_run_on_declared_graph(protocol):
-    """Every protocol runs on its smoke graph with example params."""
+    """Every protocol runs on its smoke graph with example params.
+
+    On every backend it has: the schema's names are the keywords of
+    each engine function the protocol calls.
+    """
     graph = parse_graph(protocol.smoke_graph)
-    outcome = protocol.execute(graph, smoke_params(protocol))
-    assert outcome.protocol == protocol.name
-    assert isinstance(outcome.metrics, RunMetrics)
-    # The stored half of the envelope must be JSON-pure.
-    json.dumps(outcome.result)
+    for backend in protocol.available_backends():
+        params = {**smoke_params(protocol), "backend": backend}
+        outcome = protocol.execute(graph, params)
+        assert outcome.protocol == protocol.name
+        assert isinstance(outcome.metrics, RunMetrics)
+        # The stored half of the envelope must be JSON-pure.
+        json.dumps(outcome.result)
 
 
 @pytest.mark.parametrize(

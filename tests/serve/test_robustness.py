@@ -387,6 +387,32 @@ def test_failing_family_runs_one_probe_and_recovers():
         assert stats["admission"]["failing_families"] == 0
 
 
+def test_failing_family_is_forgotten_with_its_evicted_matrix():
+    # A one-byte budget keeps one matrix resident: each other family's
+    # first stored row evicts the failing family's (empty) matrix.
+    with ServerThread(
+        workers=1,
+        retries=0,
+        max_matrix_bytes=1,
+        chaos={"mode": "error", "kinds": ["rows"], "jobs": 1},
+    ) as handle:
+        failing = "/distance?graph=cycle:12&source=2&target=1"
+        assert get_status(handle.url, failing)[0] == 500  # compute failed
+        _s, stats = get_status(handle.url, "/stats")
+        assert stats["admission"]["failing_families"] == 1
+        for spec in ("cycle:10", "cycle:14"):
+            status, _payload = get_status(
+                handle.url, f"/distance?graph={spec}&source=1&target=3"
+            )
+            assert status == 200
+        _s, stats = get_status(handle.url, "/stats")
+        assert stats["admission"]["failing_families"] == 0
+        assert handle.service.cache.evictions >= 2
+        # Forgotten, not blocked: the family computes afresh.
+        status, payload = get_status(handle.url, failing)
+        assert (status, payload["distance"]) == (200, 1)
+
+
 def test_diameter_beside_a_probe_degrades_instead_of_503():
     with ServerThread(
         workers=2,

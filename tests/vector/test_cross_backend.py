@@ -157,6 +157,57 @@ def test_entry_points_agree_on_fixed_graphs(spec):
         )
 
 
+#: The paper's adversarial families on both promise sides: the Theorem
+#: 6/8 gadget (diameter 2 iff the sets are disjoint, at p = 8 and 16)
+#: and the Theorem 2 gap-2 family (diameter 2·ell + 3 or + 5), beside
+#: the extremes of D at a few hundred nodes.
+ADVERSARIAL = [
+    *(f"2v3:{p}:{side}" for p in (8, 16)
+      for side in ("intersecting", "disjoint")),
+    *(f"gap2:{p}:{ell}:{side}" for p, ell in ((8, 2), (16, 4), (32, 8))
+      for side in ("intersecting", "disjoint")),
+    "path:300", "star:400",
+]
+
+
+def _adversarial_graph(case):
+    from repro.graphs import (
+        diameter_2_vs_3,
+        diameter_gap2_family,
+        random_disjointness_instance,
+        random_membership_instance,
+    )
+
+    family, *args = case.split(":")
+    intersecting = args[-1] == "intersecting"
+    if family == "2v3":
+        p = int(args[0])
+        x, y = random_disjointness_instance(
+            p, intersecting=intersecting, seed=p)
+        return diameter_2_vs_3(p, x, y).graph
+    if family == "gap2":
+        p, ell = int(args[0]), int(args[1])
+        xs, ys = random_membership_instance(
+            p, intersecting=intersecting, seed=p)
+        return diameter_gap2_family(p, ell, xs, ys).graph
+    return parse_graph(case)
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL)
+def test_entry_points_agree_on_adversarial_families(case):
+    from repro import core, vector
+
+    # Plain equality (the result dataclasses compare field by field):
+    # _canonical's deep copies would add ~40% at n = 300-400.
+    graph = _adversarial_graph(case)
+    for name in ("run_apsp", "run_graph_properties", "run_exact_girth"):
+        obj = getattr(core, name)(graph)
+        vec = getattr(vector, name)(graph)
+        assert _parts(vec) == _parts(obj), (
+            f"{name}: backends diverged on {case}"
+        )
+
+
 def test_node_blocks_do_not_change_the_run(monkeypatch):
     # Algorithm 1's sweep goes over rows of D in node blocks sized by
     # _CHUNK_ENTRIES.  Cut er:70 into many blocks, single nodes among

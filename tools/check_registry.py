@@ -5,23 +5,17 @@ The registry (:mod:`repro.protocols`) is the single source of truth for
 algorithm dispatch; this tool fails CI when anything drifts away from
 it:
 
-* **entry points** — every ``Protocol.entry_point`` (and, where
-  declared, ``vector_entry_point``) dotted name must resolve to a real
-  callable under ``repro``;
 * **completeness** — every public ``repro.core.run_*`` entry point must
-  be registered (no orphaned algorithms), and registered ``core.*``
-  entry points must still exist;
-* **harness** — ``repro.harness.available_algorithms()`` must equal the
-  registry's name list;
+  be some protocol's ``entry`` (no orphaned algorithms);
 * **CLI** — the ``repro`` subcommand tree must contain exactly the
-  protocols carrying a presentable :class:`CliSpec` (plus the four
+  protocols carrying a presentable :class:`CliSpec` (plus the
   pipeline commands), and the ``repro trace run`` algorithm choices
   must equal the registry entries with the ``trace`` capability;
-* **capabilities** — every capability flag must come from the
-  ``CAPABILITIES`` vocabulary (also enforced at construction; checked
-  here so the vocabulary itself cannot silently grow);
 * **docs** — ``docs/protocols.md`` must carry a table row for every
   registered protocol, and no rows for unregistered ones.
+
+Entry points are the functions themselves and capabilities are checked
+when a :class:`Protocol` is built, so neither needs a check here.
 
 Usage::
 
@@ -33,7 +27,6 @@ runs the same entry point under pytest so the check is tier-1.
 
 from __future__ import annotations
 
-import importlib
 import re
 import sys
 from pathlib import Path
@@ -52,77 +45,18 @@ PIPELINE_COMMANDS = {
 DOCS_TABLE = REPO_ROOT / "docs" / "protocols.md"
 
 
-def _resolve(entry_point: str):
-    """Resolve ``"core.run_apsp"``-style names under ``repro``."""
-    parts = entry_point.split(".")
-    module = importlib.import_module("repro." + ".".join(parts[:-1]))
-    return getattr(module, parts[-1])
-
-
-def check_entry_points(problems: List[str]) -> None:
-    from repro import protocols
-
-    for protocol in protocols.protocols():
-        try:
-            target = _resolve(protocol.entry_point)
-        except (ImportError, AttributeError) as exc:
-            problems.append(
-                f"protocol {protocol.name!r}: entry point "
-                f"{protocol.entry_point!r} does not resolve ({exc})"
-            )
-            continue
-        if not callable(target):
-            problems.append(
-                f"protocol {protocol.name!r}: entry point "
-                f"{protocol.entry_point!r} is not callable"
-            )
-        if protocol.vector_entry_point is None:
-            continue
-        try:
-            target = _resolve(protocol.vector_entry_point)
-        except (ImportError, AttributeError) as exc:
-            problems.append(
-                f"protocol {protocol.name!r}: vector entry point "
-                f"{protocol.vector_entry_point!r} does not resolve ({exc})"
-            )
-            continue
-        if not callable(target):
-            problems.append(
-                f"protocol {protocol.name!r}: vector entry point "
-                f"{protocol.vector_entry_point!r} is not callable"
-            )
-
-
 def check_core_completeness(problems: List[str]) -> None:
     from repro import core, protocols
 
     public = {
-        name for name in dir(core)
+        getattr(core, name) for name in dir(core)
         if name.startswith("run_") and callable(getattr(core, name))
     }
-    registered = {
-        p.entry_point.split(".", 1)[1]
-        for p in protocols.protocols()
-        if p.entry_point.startswith("core.")
-    }
-    for name in sorted(public - registered):
+    registered = {p.entry for p in protocols.protocols()}
+    for entry in sorted(public - registered, key=lambda f: f.__name__):
         problems.append(
-            f"core.{name} is public but no protocol registers it"
-        )
-    for name in sorted(registered - public):
-        problems.append(
-            f"a protocol names entry point core.{name}, which "
-            f"repro.core does not export"
-        )
-
-
-def check_harness(problems: List[str]) -> None:
-    from repro import harness, protocols
-
-    if harness.available_algorithms() != protocols.names():
-        problems.append(
-            "harness.available_algorithms() != protocols.names() — "
-            "the harness has grown its own algorithm table"
+            f"core.{entry.__name__} is public but no protocol "
+            f"registers it"
         )
 
 
@@ -174,19 +108,6 @@ def check_cli(problems: List[str]) -> None:
         )
 
 
-def check_capabilities(problems: List[str]) -> None:
-    from repro import protocols
-    from repro.protocols import CAPABILITIES
-
-    for protocol in protocols.protocols():
-        extra = protocol.capabilities - CAPABILITIES
-        if extra:
-            problems.append(
-                f"protocol {protocol.name!r} declares unknown "
-                f"capabilities {sorted(extra)}"
-            )
-
-
 def check_docs(problems: List[str]) -> None:
     from repro import protocols
 
@@ -210,11 +131,8 @@ def check_docs(problems: List[str]) -> None:
 
 
 CHECKS: List[Callable[[List[str]], None]] = [
-    check_entry_points,
     check_core_completeness,
-    check_harness,
     check_cli,
-    check_capabilities,
     check_docs,
 ]
 
