@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from . import graphs, protocols
@@ -128,42 +129,30 @@ def cmd_experiment(args: argparse.Namespace) -> None:
     """``repro experiment``: regenerate Table 1 entries on demand."""
     from . import experiments
 
+    ids = experiments.available()
     if args.id == "list":
-        for exp_id in experiments.available():
-            print(exp_id)
+        print("\n".join(ids))
         return
-    overrides = {}
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
-    if args.cache_dir is not None:
-        overrides["cache_dir"] = args.cache_dir
-    if args.no_cache:
-        overrides["use_cache"] = False
-    previous = (
-        experiments.configure_execution(**overrides) if overrides else None
-    )
-    try:
-        ids = (experiments.available() if args.id == "all"
-               else [args.id])
-        failures = []
-        collected = []
-        for exp_id in ids:
-            result = experiments.run(exp_id, scale=args.scale)
-            collected.append(result)
-            print(result.render())
-            print()
-            if not result.passed:
-                failures.append(exp_id)
-        if args.output:
-            experiments.write_report(collected, args.output)
-            print(f"report written to {args.output}")
-    finally:
-        if previous is not None:
-            experiments.configure_execution(
-                jobs=previous.jobs,
-                cache_dir=previous.cache_dir,
-                use_cache=previous.use_cache,
+    if args.id != "all":
+        if args.id not in ids:
+            raise SystemExit(
+                f"unknown experiment {args.id!r}; available: {ids}"
             )
+        ids = [args.id]
+    if args.output:
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+    failures = []
+    for exp_id in ids:
+        result = experiments.run(exp_id, scale=args.scale)
+        text = result.render()
+        print(text)
+        print()
+        if args.output:
+            Path(args.output, f"{exp_id}.txt").write_text(
+                text + "\n", encoding="utf-8"
+            )
+        if not result.passed:
+            failures.append(exp_id)
     if failures:
         raise SystemExit(f"experiments failed checks: {failures}")
 
@@ -548,14 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", help="experiment id, 'all', or 'list'")
     p.add_argument("--scale", choices=["quick", "paper"],
                    default="quick")
-    p.add_argument("--output", default=None,
-                   help="also write a markdown report to this path")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes for harness-backed sweeps")
-    p.add_argument("--cache-dir", default=None,
-                   help="content-addressed run cache directory")
-    p.add_argument("--no-cache", action="store_true",
-                   help="recompute every run (still refreshes the cache)")
+    p.add_argument("--output", default=None, metavar="DIR",
+                   help="also write each table to DIR/<id>.txt (the "
+                        "committed tables are benchmarks/results)")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser(

@@ -16,33 +16,26 @@ Experiment ids follow EXPERIMENTS.md: ``e1`` (APSP linearity), ``e2``
 ``e6``/``e6b``/``e13`` (approximations), ``e8`` (2-vs-4), ``e9a``/
 ``e9b``/``e10`` (lower-bound demonstrations), ``e11a``/``e11b``
 (baselines), ``e12`` (bit complexity), ``e14``/``e15`` (PRT
-combinations), ``e16`` (congestion audit).
+combinations), ``e16`` (congestion audit), ``e17`` (weighted APSP).
+
+``python -m repro experiment all --scale paper --output
+benchmarks/results`` rewrites the committed tables.
 """
 
 from .base import (
     SCALES,
-    ExecutionConfig,
     ExperimentResult,
     available,
-    configure_execution,
-    execution_config,
     fit_loglog_slope,
     run,
     run_all,
-    run_campaign,
-    write_report,
 )
 
 __all__ = [
-    "ExecutionConfig",
     "ExperimentResult",
     "SCALES",
     "available",
-    "configure_execution",
-    "execution_config",
     "fit_loglog_slope",
     "run",
     "run_all",
-    "run_campaign",
-    "write_report",
 ]

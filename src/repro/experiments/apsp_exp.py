@@ -1,24 +1,15 @@
 """E1 + E16 — Theorem 1: APSP in Θ̃(n), congestion-free (Lemma 1).
 
-Both sweeps execute through the campaign harness
-(:func:`repro.experiments.base.run_campaign`): graph instances are
-described as spec strings, so runs shard across worker processes under
-``--jobs`` and memoize in the content-addressed run cache.  E16 reruns
-a subset of E1's tasks (the Erdős–Rényi column) and therefore costs
-nothing extra when a shared cache is configured — the benchmark suite
-relies on exactly that.
+Graph instances are described as spec strings (the same syntax as the
+CLI and ``repro campaign``); E16 reruns E1's Erdős–Rényi column.
 """
 
 from __future__ import annotations
 
 from ..congest.network import default_bandwidth
-from ..harness.spec import Task
-from .base import (
-    ExperimentResult,
-    experiment,
-    fit_loglog_slope,
-    run_campaign,
-)
+from ..graphs.specs import parse_graph
+from ..protocols import run as run_protocol
+from .base import ExperimentResult, experiment, fit_loglog_slope
 
 SWEEPS = {"quick": [20, 40], "paper": [30, 60, 90, 120]}
 
@@ -38,10 +29,6 @@ def _er_spec(n: int) -> str:
     return f"er:{n}:p={min(1.0, 8.0 / n)!r}:seed=3"
 
 
-def _apsp_task(spec: str) -> Task:
-    return Task.make(spec, "apsp", {"seed": 0, "policy": "strict"})
-
-
 @experiment("e1")
 def e1_apsp_linear(scale: str) -> ExperimentResult:
     """E1: APSP rounds grow linearly in n (Theorem 1)."""
@@ -50,22 +37,16 @@ def e1_apsp_linear(scale: str) -> ExperimentResult:
         title="APSP rounds vs n (Thm 1 predicts linear)",
         headers=["family", "n", "m", "rounds", "rounds/n"],
     )
-    labels = []
-    tasks = []
+    per_family = {}
     for n in SWEEPS[scale]:
         for family, spec in family_specs(n).items():
-            labels.append(family)
-            tasks.append(_apsp_task(spec))
-    records = run_campaign(tasks, name="e1")
-    per_family = {}
-    for family, record in zip(labels, records):
-        n = record["graph"]["n"]
-        rounds = record["metrics"]["rounds"]
-        per_family.setdefault(family, []).append((n, rounds))
-        result.rows.append((
-            family, n, record["graph"]["m"], rounds,
-            f"{rounds / n:.2f}",
-        ))
+            graph = parse_graph(spec)
+            rounds = run_protocol("apsp", graph).metrics.rounds
+            per_family.setdefault(family, []).append((graph.n, rounds))
+            result.rows.append((
+                family, graph.n, graph.m, rounds,
+                f"{rounds / graph.n:.2f}",
+            ))
     for family, points in per_family.items():
         slope = fit_loglog_slope([n for n, _ in points],
                                  [r for _, r in points])
@@ -85,20 +66,17 @@ def e16_congestion_free(scale: str) -> ExperimentResult:
         headers=["n", "B (bits)", "max edge bits/round",
                  "max edge msgs/round"],
     )
-    tasks = [_apsp_task(_er_spec(n)) for n in SWEEPS[scale]]
-    records = run_campaign(tasks, name="e16")
-    for record in records:
-        n = record["graph"]["n"]
-        metrics = record["metrics"]
-        budget = default_bandwidth(n)
+    for n in SWEEPS[scale]:
+        graph = parse_graph(_er_spec(n))
+        metrics = run_protocol("apsp", graph).metrics
+        budget = default_bandwidth(graph.n)
         result.rows.append((
-            n, budget,
-            metrics["max_edge_bits_in_round"],
-            metrics["max_edge_messages_in_round"],
+            graph.n, budget,
+            metrics.max_edge_bits_in_round,
+            metrics.max_edge_messages_in_round,
         ))
         result.require(
-            "within-budget",
-            metrics["max_edge_bits_in_round"] <= budget,
+            "within-budget", metrics.max_edge_bits_in_round <= budget
         )
     result.notes.append(
         "every run stays within B — the pebble schedule is "

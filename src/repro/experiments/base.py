@@ -3,10 +3,12 @@
 Every experiment from EXPERIMENTS.md is a function returning an
 :class:`ExperimentResult`: the measured rows, human-readable notes, the
 fitted scalings, and a dictionary of named *checks* — the pass/fail
-claims the benchmark suite asserts.  The same functions power
+claims of the experiment.  Each runs its protocols in-process through
+:func:`repro.protocols.run`.  The same functions power
 
-* ``pytest benchmarks/`` (asserts the checks, publishes the tables),
-* ``python -m repro experiment <id>`` (prints a table on demand),
+* ``python -m repro experiment <id>`` (prints the table and exits 1
+  when a check fails; ``--output DIR`` writes it to ``DIR/<id>.txt``,
+  which is how the committed ``benchmarks/results/e*.txt`` are made),
 * programmatic use (``repro.experiments.run("e1")``).
 
 Experiments accept a ``scale``:
@@ -18,16 +20,8 @@ Experiments accept a ``scale``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-)
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Sequence
 
 #: Valid scales.
 SCALES = ("quick", "paper")
@@ -42,7 +36,7 @@ class ExperimentResult:
     headers: Sequence[str]
     rows: List[Sequence[object]] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
-    #: Named claims; the benchmark harness asserts each is True.
+    #: Named claims; ``repro experiment`` exits 1 unless each is True.
     checks: Dict[str, bool] = field(default_factory=dict)
 
     def require(self, name: str, condition: bool) -> None:
@@ -121,149 +115,6 @@ def run(exp_id: str, scale: str = "paper") -> ExperimentResult:
 def run_all(scale: str = "paper") -> List[ExperimentResult]:
     """Run every registered experiment."""
     return [run(exp_id, scale) for exp_id in available()]
-
-
-def write_report(results: Sequence[ExperimentResult], path) -> None:
-    """Write a markdown report of experiment results to ``path``.
-
-    The report mirrors EXPERIMENTS.md's structure: one section per
-    experiment with its measured table, notes and check status — handy
-    for regenerating the record after a sweep
-    (``python -m repro experiment all --output report.md``).
-    """
-    from pathlib import Path
-
-    lines = ["# Table 1 regeneration report", ""]
-    passed = sum(1 for r in results if r.passed)
-    lines.append(
-        f"{passed}/{len(results)} experiments passed all checks."
-    )
-    lines.append("")
-    for result in results:
-        lines.append(f"## {result.exp_id.upper()} — {result.title}")
-        lines.append("")
-        lines.append("| " + " | ".join(result.headers) + " |")
-        lines.append("|" + "---|" * len(result.headers))
-        for row in result.rows:
-            lines.append(
-                "| " + " | ".join(str(cell) for cell in row) + " |"
-            )
-        lines.append("")
-        for note in result.notes:
-            lines.append(f"*{note}*")
-        status = "**PASS**" if result.passed else \
-            f"**FAIL** ({', '.join(result.failed_checks())})"
-        lines.append("")
-        lines.append(f"Checks: {status}")
-        lines.append("")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# Harness integration: cached / parallel sweep execution.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExecutionConfig:
-    """Process-wide defaults for how experiment sweeps execute.
-
-    Experiments that route their sweeps through :func:`run_campaign`
-    pick these up automatically; the CLI (``--jobs``/``--cache-dir``/
-    ``--no-cache``) and the benchmark suite set them via
-    :func:`configure_execution`.  Every other
-    :func:`repro.harness.campaign.run_tasks` setting stays at its
-    default.
-    """
-
-    jobs: int = 1
-    cache_dir: Optional[str] = None
-    use_cache: bool = True
-
-
-_EXECUTION = ExecutionConfig()
-
-#: Sentinel distinguishing "not passed" from an explicit ``None``.
-_UNSET: Any = object()
-
-
-def execution_config() -> ExecutionConfig:
-    """The current execution defaults (a copy)."""
-    return replace(_EXECUTION)
-
-
-def configure_execution(
-    *,
-    jobs: Optional[int] = None,
-    cache_dir: Any = _UNSET,
-    use_cache: Optional[bool] = None,
-) -> ExecutionConfig:
-    """Update the execution defaults; returns the *previous* config.
-
-    Only the arguments actually passed change; restore by passing the
-    returned config's fields back in.  ``cache_dir`` uses a sentinel
-    default because ``None`` is a meaningful value for it (no cache).
-    """
-    global _EXECUTION
-    previous = _EXECUTION
-    _EXECUTION = ExecutionConfig(
-        jobs=previous.jobs if jobs is None else max(1, int(jobs)),
-        cache_dir=(
-            previous.cache_dir if cache_dir is _UNSET else cache_dir
-        ),
-        use_cache=(
-            previous.use_cache if use_cache is None else bool(use_cache)
-        ),
-    )
-    return previous
-
-
-def run_campaign(
-    tasks: Sequence[Any],
-    *,
-    name: str = "experiment-sweep",
-    jobs: Optional[int] = None,
-    cache_dir: Any = _UNSET,
-    use_cache: Optional[bool] = None,
-    salt: str = "",
-) -> List[Dict[str, Any]]:
-    """Execute a sweep through the campaign harness.
-
-    ``tasks`` are :class:`repro.harness.Task` objects (or their dict
-    payloads).  Execution honours the session :class:`ExecutionConfig`
-    — worker count and run cache — unless overridden per call, and the
-    records come back **in task order**, so callers can zip them
-    against whatever labels they expanded the sweep from.  Raises
-    ``RuntimeError`` if any task failed (experiments must not silently
-    tabulate partial sweeps).
-    """
-    from ..harness import campaign as _campaign
-    from ..harness.spec import Task
-
-    task_objs = [
-        task if isinstance(task, Task) else Task.from_dict(task)
-        for task in tasks
-    ]
-    cfg = _EXECUTION
-    summary = _campaign.run_tasks(
-        task_objs,
-        jobs=cfg.jobs if jobs is None else max(1, int(jobs)),
-        cache_dir=cfg.cache_dir if cache_dir is _UNSET else cache_dir,
-        use_cache=cfg.use_cache if use_cache is None else bool(use_cache),
-        salt=salt,
-        name=name,
-    )
-    if summary.failures:
-        errors = [
-            record["error"]
-            for record in summary.records
-            if "error" in record
-        ]
-        raise RuntimeError(
-            f"{summary.failures} task(s) of campaign {name!r} failed: "
-            f"{errors[:3]}"
-        )
-    return summary.records
 
 
 def _ensure_loaded() -> None:

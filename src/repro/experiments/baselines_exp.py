@@ -1,33 +1,17 @@
-"""E11 — Section 3.1: Algorithm 1 vs the classic routing strawmen.
-
-The sweeps run through the campaign harness: each (graph, algorithm)
-cell is an independent task, so the slow strawmen (sequential BFS is
-quadratic in rounds *and* wall-clock) parallelize across workers and
-memoize in the run cache.
-"""
+"""E11 — Section 3.1: Algorithm 1 vs the classic routing strawmen."""
 
 from __future__ import annotations
 
-from ..harness.spec import Task
-from .base import (
-    ExperimentResult,
-    experiment,
-    fit_loglog_slope,
-    run_campaign,
-)
+from ..graphs.specs import parse_graph
+from ..protocols import run as run_protocol
+from .base import ExperimentResult, experiment, fit_loglog_slope
 
 PATH_SWEEPS = {"quick": [16, 40], "paper": [16, 32, 48, 64]}
 DENSE_SWEEPS = {"quick": [20, 40], "paper": [20, 30, 40, 50]}
 
-_PARAMS = {"seed": 0, "policy": "strict"}
 
-
-def _apsp(spec: str) -> Task:
-    return Task.make(spec, "apsp", _PARAMS)
-
-
-def _baseline(spec: str, variant: str) -> Task:
-    return Task.make(spec, "baseline", {**_PARAMS, "variant": variant})
+def _rounds(graph, name: str, **params) -> int:
+    return run_protocol(name, graph, params).metrics.rounds
 
 
 @experiment("e11a")
@@ -39,22 +23,15 @@ def e11a_paths(scale: str) -> ExperimentResult:
         headers=["n", "Algorithm 1", "periodic DV", "delta DV",
                  "sequential BFS"],
     )
-    sweep = PATH_SWEEPS[scale]
-    tasks = []
-    for n in sweep:
-        spec = f"path:{n}"
-        tasks.extend([
-            _apsp(spec),
-            _baseline(spec, "distance-vector"),
-            _baseline(spec, "distance-vector-delta"),
-            _baseline(spec, "sequential-bfs"),
-        ])
-    records = run_campaign(tasks, name="e11a")
     series = {"algorithm1": [], "distance-vector": [],
               "sequential-bfs": []}
-    for n, chunk in zip(sweep, _grouped(records, 4)):
-        ours, naive_dv, delta_dv, seq = (
-            record["metrics"]["rounds"] for record in chunk
+    for n in PATH_SWEEPS[scale]:
+        graph = parse_graph(f"path:{n}")
+        ours = _rounds(graph, "apsp")
+        naive_dv, delta_dv, seq = (
+            _rounds(graph, "baseline", variant=variant)
+            for variant in ("distance-vector", "distance-vector-delta",
+                            "sequential-bfs")
         )
         series["algorithm1"].append((n, ours))
         series["distance-vector"].append((n, naive_dv))
@@ -87,22 +64,16 @@ def e11b_dense(scale: str) -> ExperimentResult:
         title="APSP rounds on dense graphs, m = Θ(n²) (§3.1)",
         headers=["n", "m", "Algorithm 1", "link-state", "ratio"],
     )
-    sweep = DENSE_SWEEPS[scale]
-    tasks = []
-    for n in sweep:
-        spec = f"er:{n}:p=0.5:seed=3"
-        tasks.extend([_apsp(spec), _baseline(spec, "link-state")])
-    records = run_campaign(tasks, name="e11b")
     ls_points = []
     ours_points = []
-    for n, (ours_rec, ls_rec) in zip(sweep, _grouped(records, 2)):
-        ours = ours_rec["metrics"]["rounds"]
-        link_state = ls_rec["metrics"]["rounds"]
+    for n in DENSE_SWEEPS[scale]:
+        graph = parse_graph(f"er:{n}:p=0.5:seed=3")
+        ours = _rounds(graph, "apsp")
+        link_state = _rounds(graph, "baseline", variant="link-state")
         ls_points.append((n, link_state))
         ours_points.append((n, ours))
         result.rows.append((
-            n, ours_rec["graph"]["m"], ours, link_state,
-            f"{link_state / ours:.1f}x",
+            n, graph.m, ours, link_state, f"{link_state / ours:.1f}x",
         ))
     ls_slope = fit_loglog_slope([p[0] for p in ls_points],
                                 [p[1] for p in ls_points])
@@ -117,10 +88,3 @@ def e11b_dense(scale: str) -> ExperimentResult:
     )
     return result
 
-
-def _grouped(records, size):
-    """Consecutive fixed-size chunks of the (task-ordered) records."""
-    return (
-        records[start:start + size]
-        for start in range(0, len(records), size)
-    )

@@ -322,28 +322,6 @@ class TestTraceCommand:
         assert record["trace"]["lemma1_collisions"] == 0
 
 
-class TestExperimentJobsFlag:
-    def test_experiment_with_jobs_and_cache(self, tmp_path, capsys):
-        assert main([
-            "experiment", "e16", "--scale", "quick",
-            "--jobs", "2", "--cache-dir", str(tmp_path / "cache"),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "E16" in out and "checks: PASS" in out
-
-    def test_execution_config_restored_after_run(self, tmp_path, capsys):
-        from repro import experiments
-
-        before = experiments.execution_config()
-        assert main([
-            "experiment", "e16", "--scale", "quick",
-            "--jobs", "3", "--cache-dir", str(tmp_path / "cache"),
-            "--no-cache",
-        ]) == 0
-        capsys.readouterr()
-        assert experiments.execution_config() == before
-
-
 class TestServeWorkersFlag:
     @pytest.mark.parametrize("command", ["serve", "serve-chaos"])
     @pytest.mark.parametrize("value", ["0", "-1"])

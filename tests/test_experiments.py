@@ -1,11 +1,14 @@
 """Tests for the experiments package: every Table 1 experiment passes
 its own checks at quick scale and produces well-formed output."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import experiments
 
 ALL_IDS = experiments.available()
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 
 def test_registry_covers_experiments_md():
@@ -56,24 +59,31 @@ def test_failed_check_reported():
     assert "FAIL (bad)" in result.render()
 
 
-def test_write_report(tmp_path):
-    results = [experiments.run("e13", scale="quick")]
-    target = tmp_path / "report.md"
-    experiments.write_report(results, target)
-    text = target.read_text(encoding="utf-8")
-    assert text.startswith("# Table 1 regeneration report")
-    assert "## E13" in text
-    assert "1/1 experiments passed" in text
-    assert "**PASS**" in text
+def test_committed_tables_match_the_registry():
+    """One committed table per experiment, and none for a removed one."""
+    stems = sorted(path.stem for path in RESULTS.glob("e*.txt"))
+    assert stems == ALL_IDS
 
 
 def test_cli_experiment_output_flag(tmp_path, capsys):
     from repro.cli import main
 
-    target = tmp_path / "out.md"
+    target = tmp_path / "tables"
     assert main(["experiment", "e13", "--output", str(target)]) == 0
     capsys.readouterr()
-    assert target.exists()
+    written = (target / "e13.txt").read_text(encoding="utf-8")
+    assert written == experiments.run("e13", scale="quick").render() + "\n"
+    assert [path.name for path in target.iterdir()] == ["e13.txt"]
+
+
+def test_cli_unknown_experiment_names_the_ids(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "e99"])
+    assert "unknown experiment 'e99'" in str(excinfo.value)
+    assert "'e17'" in str(excinfo.value)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_experiment_command(capsys):
