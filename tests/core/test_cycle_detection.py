@@ -55,6 +55,9 @@ class TestSoundness:
         (lambda: grid_graph(4, 5), [3]),
         (lambda: lollipop_graph(5, 6), [11]),
         (lambda: circulant_graph(18, [1, 5]), [2, 9]),
+        # Girth 5; an offer of source 2 sent back to its new parent
+        # once made node 6 record the walk length 4.
+        (lambda: random_connected_graph(6, 525), [1, 2]),
     ])
     def test_candidates_never_below_girth(self, make, sources):
         graph = make()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.girth import run_approx_girth, run_exact_girth
 from repro.core.properties import GIRTH_INFINITE
 from repro.graphs import (
+    Graph,
     circulant_graph,
     cycle_graph,
     girth,
@@ -72,6 +73,21 @@ class TestApproxBehaviour:
         graph = lollipop_graph(4, 20)
         summary = run_approx_girth(graph, 0.25)
         assert summary.girth == 3
+
+    def test_never_answers_below_the_girth_on_a_long_cycle(self):
+        """A tree plus one chord: its only cycle has length 7.
+
+        Algorithm 2 must never offer a source back to its new parent
+        (Line 22): such an offer describes a walk through the parent
+        itself, and once made the estimate 6 here.
+        """
+        graph = Graph.from_edges([
+            (1, 2), (1, 3), (2, 6), (2, 10), (3, 4), (3, 7), (4, 5),
+            (4, 9), (5, 8), (5, 11), (8, 10),
+        ])
+        assert girth(graph) == 7
+        summary = run_approx_girth(graph, 3)
+        assert 7 <= summary.girth <= (1 + 3) * 7
 
     def test_approx_girth_on_standard_families(self):
         for graph, expected in [
