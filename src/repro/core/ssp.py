@@ -224,16 +224,23 @@ def ssp_main_loop(
                              round_no=node.round, source=source, dist=dist)
             offers[source] = OfferMsg(source=source, dist=dist + 1)
             # k-BFS truncation (Definition 7): nodes at the cut-off depth
-            # do not extend the wave further.  Wherever the source is
-            # still queued — the new parent's edge included — its entry
-            # is re-keyed to the improved distance.
+            # do not extend the wave further.  Wherever else the source
+            # is still queued its entry is re-keyed to the improved
+            # distance.  Line 22 never offers a source to its parent, so
+            # an entry still queued for the new parent is dropped.
             extend = depth_limit is None or dist < depth_limit
             entry = (0 if literal else dist + 1, source)
             for other in neighbors:
-                if (extend and other != sender) or source in pending[other]:
+                if other != sender and (extend or source in pending[other]):
                     pending[other].add(source)
                     heappush(heaps[other], entry)
                     busy.add(other)
+            queue = pending[sender]
+            if source in queue:
+                queue.discard(source)
+                if not queue:
+                    busy.discard(sender)
+                    heaps[sender].clear()
 
     if loop_span is not None:
         tracer.span_end(loop_span, round_no=node.round,

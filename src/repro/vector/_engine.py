@@ -715,21 +715,10 @@ def _emit_ssp_phase(
             if events:
                 delta[y, column] = running
                 parent[y, column] = last_event
-                lo, hi = int(indptr[y]), int(indptr[y + 1])
-                if events == 1:
-                    # A single improvement re-queues for every neighbor
-                    # but its sender — yet it must not cancel an entry
-                    # the sender edge already held from an earlier
-                    # round (requeueing only ever *adds*).
-                    back = int(csr.edge_of(y, last_event))
-                    back_was = bool(pending[back, column])
-                    pending[lo:hi, column] = True
-                    pending[back, column] = back_was
-                else:
-                    # Two or more improvements re-queue for all edges:
-                    # each event covers every neighbor but its own
-                    # sender, and the senders are distinct.
-                    pending[lo:hi, column] = True
+                # Queue the improvement on every edge but the new
+                # parent's, where Line 22 drops any entry still queued.
+                pending[indptr[y]:indptr[y + 1], column] = True
+                pending[csr.edge_of(y, last_event), column] = False
             i = j
     return delta, parent
 
