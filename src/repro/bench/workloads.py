@@ -120,9 +120,9 @@ WORKLOADS: Dict[str, Workload] = {
             name="bench_ssp",
             algorithm="ssp",
             graph="er:96:p=0.07:seed=2",
-            pins=(25, 3_730, 68_850),
+            pins=(25, 3_719, 68_652),
             quick_graph="er:32:p=0.15:seed=2",
-            quick_pins=(28, 577, 9_728),
+            quick_pins=(28, 576, 9_712),
             sources=(1, 17, 33, 49),
         ),
         Workload(
@@ -193,9 +193,9 @@ LARGE_WORKLOADS: Dict[str, Workload] = {
             name="bench_ssp_n512",
             algorithm="ssp",
             graph="er:512:p=0.02:seed=2",
-            pins=(31, 34_598, 842_616),
+            pins=(31, 34_546, 841_368),
             quick_graph="er:128:p=0.06:seed=2",
-            quick_pins=(23, 3_606, 74_660),
+            quick_pins=(23, 3_603, 74_600),
             sources=(1, 65, 129, 257, 385),
             backend="vector",
         ),
@@ -203,7 +203,7 @@ LARGE_WORKLOADS: Dict[str, Workload] = {
             name="bench_ssp_n1024",
             algorithm="ssp",
             graph="er:1024:p=0.01:seed=2",
-            pins=(31, 71_079, 1_874_652),
+            pins=(31, 71_005, 1_872_728),
             quick_graph="er:160:p=0.05:seed=2",
             quick_pins=(28, 4_404, 91_260),
             sources=(1, 129, 257, 513, 769),
@@ -213,7 +213,7 @@ LARGE_WORKLOADS: Dict[str, Workload] = {
             name="bench_ssp_n2048",
             algorithm="ssp",
             graph="er:2048:p=0.005:seed=2",
-            pins=(36, 140_706, 3_997_084),
+            pins=(36, 140_409, 3_988_768),
             quick_graph="er:192:p=0.05:seed=2",
             quick_pins=(27, 4_224, 88_300),
             sources=(1, 257, 513, 1025, 1537),

@@ -204,15 +204,17 @@ class TestCli:
     def test_bench_pin_off_by_one_exits_1_and_writes_report(
         self, tmp_path, capsys, monkeypatch
     ):
-        off = replace(ALL_WORKLOADS["bench_ssp"], quick_pins=(28, 578, 9728))
+        workload = ALL_WORKLOADS["bench_ssp"]
+        rounds, messages, bits = workload.quick_pins
+        off = replace(workload, quick_pins=(rounds, messages + 1, bits))
         monkeypatch.setitem(ALL_WORKLOADS, "bench_ssp", off)
         out_path = tmp_path / "bench.json"
         code, out, err = self.run_bench(["--out", str(out_path)], capsys)
         assert code == 1
-        assert "bench_ssp: messages 578 -> 577" in err
+        assert f"bench_ssp: messages {messages + 1} -> {messages}" in err
         assert "rounds" not in err and "bits" not in err
         report = json.loads(out_path.read_text())
-        assert report["workloads"]["bench_ssp"]["messages"] == 577
+        assert report["workloads"]["bench_ssp"]["messages"] == messages
         assert f"report -> {out_path}" in out
 
     def test_bench_vector_backend_checks_the_same_pins(self, tmp_path,

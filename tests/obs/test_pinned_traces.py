@@ -8,7 +8,10 @@ inbox order at delivery and before ``apsp_phase`` read its inbox in a
 single pass; ``apsp-faulty`` before the delivery hook moved into
 ``obs.capture``; the seven Algorithm 2 callers from ``ssp-id-rule`` on
 before ``ssp_main_loop`` moved to per-edge heaps, idle-round skipping
-and one shared offer per (source, distance).
+and one shared offer per (source, distance).  ``ssp``, ``girth-approx``
+and ``prt-diameter`` were re-recorded when Algorithm 2 stopped offering
+a source back to its new parent (Line 22), which removed 1, 2 and 25 of
+their messages and left their rounds and results unchanged.
 """
 
 import hashlib
@@ -36,7 +39,7 @@ CASES = {
     ),
     "ssp": (
         lambda: core.run_ssp(parse_graph("er:24:p=0.15:seed=2"), [1, 4, 9]),
-        "fd8da58b56c87ed934339d741914844e93228f33721965c2a4cf88674adb1e7a",
+        "9caa68ce5d17a90c98ab3cf51adeb2f38180b87ba7dca4ed7a7ca2969a1e97d9",
     ),
     # 198 messages delivered, 2 dropped: pins that the trace lists only
     # delivered messages, in the delivery hook's order.
@@ -59,7 +62,7 @@ CASES = {
     ),
     "girth-approx": (
         lambda: core.run_approx_girth(parse_graph("torus:6x6"), 0.5),
-        "98ca64c24be120d105cd7fcdf50faf37812bfd063d8fc75b12037722ed4ede41",
+        "9635de6e2cdf15489028b2fb713b600a94858881570d9097cb78c730b4f5bb6b",
     ),
     "approx-properties": (
         lambda: core.run_approx_properties(parse_graph("torus:6x6"), 0.5),
@@ -67,7 +70,7 @@ CASES = {
     ),
     "prt-diameter": (
         lambda: core.run_prt_diameter(parse_graph("er:40:p=0.08:seed=3")),
-        "4c2ee81ee585483939011c76e7584e1c03a06ebca97cba92d1dcabcafa1d5d32",
+        "820175f6756231b11f8c68fc017c5f9bfc1cf4fc38f2ae4c52b352ab290f84d5",
     ),
     # |S| = 8.
     "two-vs-four": (
