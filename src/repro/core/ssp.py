@@ -39,8 +39,9 @@ Implementation notes:
   and a constant ``0`` under ``priority="id"``, so they order by id
   alone.  The top entry whose id is still queued is the list's
   highest-priority id.  A strict improvement pushes a fresh entry on
-  every edge where the id is queued, the new parent's edge included;
-  the stale entry ranks lower and is dropped when it surfaces.  Keys
+  every other edge where the id is queued (the stale entry ranks lower
+  and is dropped when it surfaces) and takes the id off the new
+  parent's list: Line 22 never offers a source to its parent.  Keys
   stay tuples because graph ids are arbitrary positive ints.
 * Work follows the offers.  The loop keeps the set of neighbors whose
   list is non-empty and offers only on those, a round with no such
@@ -60,8 +61,9 @@ Implementation notes:
   girth approximation (Theorem 5): every received offer for an
   already-known source closes a walk of length ``δ[s] + offer.dist``
   through ``s``, a genuine cycle-length upper bound because a source is
-  never offered back across its own tree edge (Line 22 excludes the
-  parent's list; the parent removed the id after its successful send).
+  never offered back across its own tree edge: an adoption queues the
+  source on every list but the new parent's, and drops it from that
+  list if an earlier adoption had queued it there (Line 22).
 
 The whole main loop is exposed as the reusable sub-protocol
 :func:`ssp_main_loop` so the approximation algorithms (Theorems 4 and 5)
