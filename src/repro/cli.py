@@ -140,7 +140,10 @@ def cmd_experiment(args: argparse.Namespace) -> None:
             )
         ids = [args.id]
     if args.output:
-        Path(args.output).mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.output).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise SystemExit(f"--output: {exc}")
     failures = []
     for exp_id in ids:
         result = experiments.run(exp_id, scale=args.scale)

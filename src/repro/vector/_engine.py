@@ -704,15 +704,13 @@ def _emit_ssp_phase(
             column = col_l[i]
             running = int(delta[y, column])
             last_event = -1
-            events = 0
             j = i
             while j < count and recv_l[j] == y and col_l[j] == column:
                 if dist_l[j] < running:
                     running = dist_l[j]
                     last_event = send_l[j]
-                    events += 1
                 j += 1
-            if events:
+            if last_event >= 0:
                 delta[y, column] = running
                 parent[y, column] = last_event
                 # Queue the improvement on every edge but the new

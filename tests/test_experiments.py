@@ -76,6 +76,17 @@ def test_cli_experiment_output_flag(tmp_path, capsys):
     assert [path.name for path in target.iterdir()] == ["e13.txt"]
 
 
+def test_cli_experiment_output_must_be_a_directory(tmp_path, capsys):
+    from repro.cli import main
+
+    target = tmp_path / "report.md"
+    target.write_text("", encoding="utf-8")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["experiment", "e13", "--output", str(target)])
+    assert str(excinfo.value).startswith("--output: ")
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_unknown_experiment_names_the_ids(capsys):
     from repro.cli import main
 
