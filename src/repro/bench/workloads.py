@@ -49,8 +49,6 @@ class Workload:
     #: Source ids for S-SP; ids absent from the (smaller) quick graph
     #: are filtered out here, before the registry validates.
     sources: Tuple[int, ...] = ()
-    #: Approximation parameter for approximate protocols.
-    epsilon: float = None
     #: Extra protocol params as sorted ``(key, value)`` pairs.
     params: Tuple[Tuple[str, Any], ...] = ()
     #: Execution engine (``object`` or ``vector``); the registry
@@ -72,8 +70,6 @@ class Workload:
                 s for s in self.sources
                 if graph is None or graph.has_node(s)
             ]
-        if self.epsilon is not None:
-            params["epsilon"] = self.epsilon
         if self.backend != "object":
             params["backend"] = self.backend
         return params

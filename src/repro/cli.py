@@ -168,70 +168,49 @@ def _worker_count(text: str) -> int:
     return value
 
 
-def _csv(text: Optional[str], cast=str) -> List:
-    """Split a comma-separated flag value, applying ``cast`` per item."""
+def _csv(text: Optional[str]) -> List[str]:
+    """Split a comma-separated flag value into its items."""
     if not text:
         return []
-    return [cast(item.strip()) for item in text.split(",") if item.strip()]
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
+def _faults_flag(text: str):
+    """Parse a ``--faults`` value, exiting 1 when it is not JSON."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SystemExit(f"--faults: not valid JSON ({exc})")
+
+
+#: The ``repro campaign`` flags that set a spec field of the same name.
+_SPEC_FLAGS = (
+    "name", "graphs", "sizes", "seeds", "algorithms", "policies", "salt",
+    "faults", "backend", "trace",
+)
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """``repro campaign``: run a cached, parallel sweep (docs/harness.md).
 
-    Returns the process exit code: 0 when every task produced a result,
-    1 when any task failed (the per-task errors are in the JSONL store,
-    so a partial campaign is still fully recorded).  Unknown algorithms
-    and malformed params are rejected up front at spec expansion —
-    before any worker spawns — with a nonzero exit.
+    The spec is one dict: the spec file's JSON object (or ``{}``) with
+    each spec flag given set on it, overriding the file, validated once
+    by ``CampaignSpec.from_dict``.  Returns the process exit code: 0
+    when every task produced a result, 1 when any task failed (the
+    per-task errors are in the JSONL store, so a partial campaign is
+    still fully recorded).  A malformed spec — unknown algorithms, bad
+    params — is rejected before any worker spawns, with exit 1.
     """
     from . import harness
 
-    if args.spec:
-        if args.graphs:
-            raise SystemExit(
-                "give either a spec file or --graphs flags, not both"
-            )
-        try:
-            spec = harness.load_spec(args.spec)
-        except (OSError, harness.SpecError) as exc:
-            raise SystemExit(str(exc))
-    elif args.graphs:
-        data = {
-            "name": args.name,
-            "graphs": _csv(args.graphs),
-            "sizes": _csv(args.sizes, int),
-            "seeds": _csv(args.seeds, int) or [0],
-            "algorithms": _csv(args.algorithms) or ["apsp"],
-            "policies": _csv(args.policies) or ["strict"],
-            "salt": args.salt,
-        }
-        try:
-            spec = harness.CampaignSpec.from_dict(data)
-        except harness.SpecError as exc:
-            raise SystemExit(str(exc))
-    else:
-        raise SystemExit(
-            "campaign needs a JSON spec file or --graphs (see docs/harness.md)"
-        )
-    if args.faults:
-        try:
-            spec = spec.with_faults(json.loads(args.faults))
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"--faults: not valid JSON ({exc})")
-        except harness.SpecError as exc:
-            raise SystemExit(str(exc))
-    if args.backend:
-        try:
-            spec = spec.with_backend(args.backend)
-        except harness.SpecError as exc:
-            raise SystemExit(str(exc))
-    if args.trace:
-        try:
-            spec = spec.with_trace()
-        except harness.SpecError as exc:
-            raise SystemExit(str(exc))
-    out = args.out or f"{spec.name}.jsonl"
     try:
+        data = harness.load_spec(args.spec) if args.spec else {}
+        data.update(
+            (flag, getattr(args, flag)) for flag in _SPEC_FLAGS
+            if getattr(args, flag) is not None
+        )
+        spec = harness.CampaignSpec.from_dict(data)
+        out = args.out or f"{spec.name}.jsonl"
         summary = harness.run_campaign(
             spec,
             jobs=args.jobs,
@@ -244,7 +223,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             retries=args.retries,
             max_failures=args.max_failures,
         )
-    except harness.SpecError as exc:
+    except (OSError, harness.SpecError) as exc:
         raise SystemExit(str(exc))
     print(summary.describe())
     print(f"results -> {out}")
@@ -320,12 +299,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.backend == "vector":
         raise SystemExit(vector.unsupported(trace=True))
     graph = parse_graph(args.graph)
-    faults = None
-    if args.faults:
-        try:
-            faults = json.loads(args.faults)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"--faults: not valid JSON ({exc})")
     protocol = protocols.get(args.algorithm)
     spec = protocol.cli
     target = protocol
@@ -335,7 +308,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     params = {}
     if spec is not None and spec.trace_collect is not None:
         params = dict(spec.trace_collect(args))
-    params.update(seed=args.seed, policy=args.policy, faults=faults)
+    params.update(seed=args.seed, policy=args.policy, faults=args.faults)
     try:
         with obs.capture() as session:
             target.execute(graph, params)
@@ -549,24 +522,36 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a declarative sweep: parallel workers + run cache "
              "+ JSONL results (see docs/harness.md)",
+        description="The spec is the spec file's JSON object, or {} "
+                    "without one. Each spec flag given (--name through "
+                    "--trace) sets the spec field of the same name, "
+                    "overriding the file; fields set by neither take "
+                    "CampaignSpec's defaults. The result is validated "
+                    "once, before any task runs.",
     )
     p.add_argument("spec", nargs="?", default=None,
                    help="JSON campaign spec file")
-    p.add_argument("--name", default="campaign",
-                   help="campaign label (flag mode)")
-    p.add_argument("--graphs", default=None,
+    p.add_argument("--name", help="campaign label")
+    p.add_argument("--graphs", type=_csv,
                    help="comma-separated graph specs; may use {n}")
-    p.add_argument("--sizes", default=None,
+    p.add_argument("--sizes", type=_csv,
                    help="comma-separated sizes filling {n}")
-    p.add_argument("--seeds", default="0",
+    p.add_argument("--seeds", type=_csv,
                    help="comma-separated simulator seeds")
-    p.add_argument("--algorithms", default="apsp",
+    p.add_argument("--algorithms", type=_csv,
                    help="comma-separated algorithm names "
                         "(see repro.protocols)")
-    p.add_argument("--policies", default="strict",
+    p.add_argument("--policies", type=_csv,
                    help="comma-separated bandwidth policies")
-    p.add_argument("--salt", default="",
-                   help="extra cache-key salt")
+    p.add_argument("--salt", help="extra cache-key salt")
+    p.add_argument("--faults", type=_faults_flag, metavar="JSON",
+                   help="fault-injection spec applied to every task, "
+                        "e.g. '{\"drop_rate\": 0.02, \"seed\": 7}'")
+    p.add_argument("--backend", choices=BACKENDS,
+                   help="execution engine for every task")
+    p.add_argument("--trace", action="store_true", default=None,
+                   help="record a repro-trace/1 summary per task into "
+                        "the result store (see docs/observability.md)")
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes (default 1)")
     p.add_argument("--cache-dir", default=None,
@@ -588,16 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "death) this many times with backoff")
     p.add_argument("--max-failures", type=int, default=None,
                    help="skip remaining tasks once this many failed")
-    p.add_argument("--faults", default=None, metavar="JSON",
-                   help="fault-injection spec applied to every task, "
-                        "e.g. '{\"drop_rate\": 0.02, \"seed\": 7}'")
-    p.add_argument("--trace", action="store_true",
-                   help="record a repro-trace/1 summary per task into "
-                        "the result store (see docs/observability.md)")
-    p.add_argument("--backend", choices=BACKENDS,
-                   default=None,
-                   help="execution engine for every task (overrides "
-                        "the spec's 'backend' field)")
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(
@@ -636,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="girth/approx: approximation parameter")
     pr.add_argument("--policy", default="strict",
                     help="bandwidth policy (default strict)")
-    pr.add_argument("--faults", default=None, metavar="JSON",
+    pr.add_argument("--faults", type=_faults_flag, metavar="JSON",
                     help="fault-injection spec, e.g. "
                          "'{\"drop_rate\": 0.02, \"seed\": 7}'")
     common(pr)

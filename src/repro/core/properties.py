@@ -51,7 +51,7 @@ class PropertyNode(ApspNode):
         if self.collect_girth:
             local = INFINITY if self.girth_best is None else self.girth_best
             self.global_girth = yield from aggregate_and_share(
-                self, self.tree, local, combine_min_with_infinity
+                self, self.tree, local, combine_min
             )
         else:
             self.global_girth = None
@@ -79,11 +79,6 @@ class PropertyNodeNoGirth(PropertyNode):
     """Property computation without the girth bookkeeping."""
 
     collect_girth = False
-
-
-def combine_min_with_infinity(a: int, b: int) -> int:
-    """Minimum where :data:`INFINITY` loses to any finite value."""
-    return combine_min(a, b)
 
 
 def run_graph_properties(

@@ -161,11 +161,6 @@ def is_k_dominating_set(graph: Graph, candidates: Iterable[int], k: int) -> bool
     return dominated == set(graph.nodes)
 
 
-def two_bfs_tree_nodes(graph: Graph, node: int) -> FrozenSet[int]:
-    """Node set of the (partial) 2-BFS tree rooted at ``node`` (Definition 7)."""
-    return k_neighborhood(graph, node, 2)
-
-
 def distance_matrix(graph: Graph) -> List[List[Optional[int]]]:
     """Dense ``n × n`` distance matrix in ascending-node order."""
     order = graph.nodes

@@ -8,18 +8,19 @@ The format is line-oriented and diff-friendly::
     2 3
     ...
 
-The ``n`` header makes isolated nodes representable.  Round-trip safety
-is property-tested.
+``node`` lines list isolated nodes.  :func:`loads_edge_list` reads the
+format back, along with SNAP-style lists; round-trip safety is
+property-tested.
 """
 
 from __future__ import annotations
 
 import io
 from pathlib import Path
-from typing import List, TextIO, Tuple, Union
+from typing import Union
 
 from ..congest.errors import GraphError
-from .graph import Edge, Graph
+from .graph import Graph
 
 PathLike = Union[str, Path]
 
@@ -37,34 +38,6 @@ def dumps(graph: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads(text: str) -> Graph:
-    """Parse the edge-list text format back into a :class:`Graph`."""
-    nodes: List[int] = []
-    edges: List[Edge] = []
-    max_node = 0
-    for line_no, raw in enumerate(io.StringIO(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "n" and len(parts) == 2:
-            max_node = int(parts[1])
-            continue
-        if parts[0] == "node" and len(parts) == 2:
-            nodes.append(int(parts[1]))
-            continue
-        if len(parts) != 2:
-            raise GraphError(f"line {line_no}: expected 'u v', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        edges.append((u, v))
-        nodes.extend((u, v))
-    if max_node:
-        # The header is informational; edges define the node set, plus
-        # explicitly listed isolated nodes.
-        pass
-    return Graph(set(nodes), edges)
-
-
 def loads_edge_list(text: str, *, weighted: bool = False,
                     default_weight: int = 1):
     """Parse a SNAP-style whitespace/comment edge list (tolerant).
@@ -76,14 +49,13 @@ def loads_edge_list(text: str, *, weighted: bool = False,
     * ``u v`` — one undirected edge;
     * ``u v w`` — an edge with a positive integer weight (ignored
       unless ``weighted=True``);
-    * the strict format's ``n <max>`` / ``node <id>`` directives, so
-      every file :func:`save` writes also loads here.
+    * the ``n <max>`` / ``node <id>`` directives :func:`dumps` writes,
+      so every file :func:`save` writes loads here.
 
-    Tolerances real-world edge lists need (and the strict
-    :func:`loads` rejects): duplicate edges collapse to one (keeping
-    the first weight seen), self-loops are dropped (the CONGEST model
-    has no such links), and a zero-based id space is shifted up by one
-    (node ids must be positive).
+    Tolerances real-world edge lists need: duplicate edges collapse to
+    one (keeping the first weight seen), self-loops are dropped (the
+    CONGEST model has no such links), and a zero-based id space is
+    shifted up by one (node ids must be positive).
 
     Returns a :class:`Graph`, or a
     :class:`~repro.graphs.weighted.WeightedGraph` when
@@ -164,8 +136,3 @@ def load_edge_list(path: PathLike, *, weighted: bool = False,
 def save(graph: Graph, path: PathLike) -> None:
     """Write ``graph`` to ``path`` in the edge-list format."""
     Path(path).write_text(dumps(graph), encoding="utf-8")
-
-
-def load(path: PathLike) -> Graph:
-    """Read a graph previously written by :func:`save`."""
-    return loads(Path(path).read_text(encoding="utf-8"))

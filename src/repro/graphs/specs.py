@@ -19,9 +19,10 @@ Supported families::
     dumbbell:20:10         two 20-cliques joined by a 10-edge path
     diameter2:60:seed=0    a diameter-2 promise instance (Algorithm 3)
     diameter4:60:seed=0    a diameter-4 promise instance (Algorithm 3)
-    file:PATH              an edge-list file (strict repro.graphs.io
-                           format or SNAP-style whitespace/comment
-                           lists, optional weights ignored)
+    file:PATH              an edge-list file read by
+                           repro.graphs.io.load_edge_list: what
+                           repro.graphs.io.save writes, or SNAP-style
+                           whitespace/comment lists (weights ignored)
 
 Specs may carry a ``{n}`` placeholder (``"path:{n}"``) which
 :func:`substitute_size` fills in during sweep expansion.

@@ -186,11 +186,10 @@ def run_weighted_apsp(
 ) -> WeightedApspSummary:
     """Weighted APSP: expand, run Algorithm 1, project distances back.
 
-    The full-featured entry point behind :func:`weighted_apsp` —
-    same reduction, but it returns a :class:`WeightedApspSummary`
-    carrying the run's :class:`~repro.congest.metrics.RunMetrics` and
-    accepts the simulator-wide ``policy``/``faults`` knobs, which makes
-    it registrable as a protocol (campaigns, benchmarks, CLI).
+    Returns a :class:`WeightedApspSummary` carrying the run's
+    :class:`~repro.congest.metrics.RunMetrics`; the simulator-wide
+    ``policy``/``faults`` knobs make it registrable as a protocol
+    (campaigns, benchmarks, CLI).
     """
     from ..core.apsp import run_apsp
 
@@ -217,26 +216,6 @@ def run_weighted_apsp(
         expanded_n=expansion.unit_graph.n,
         max_weight=weighted.max_weight,
     )
-
-
-def weighted_apsp(
-    weighted: WeightedGraph,
-    *,
-    seed: int = 0,
-    bandwidth_bits: Optional[int] = None,
-):
-    """Weighted APSP by running Algorithm 1 on the expansion.
-
-    Returns ``(distances, rounds)`` where ``distances[u][v]`` is the
-    weighted distance between *original* nodes.  Rounds are those of
-    the expanded run — ``O(n + m·(W-1))`` — which is the documented
-    cost of this reduction.  (Compatibility wrapper around
-    :func:`run_weighted_apsp`.)
-    """
-    summary = run_weighted_apsp(
-        weighted, seed=seed, bandwidth_bits=bandwidth_bits
-    )
-    return summary.distances, summary.rounds
 
 
 def oracle_weighted_distances(

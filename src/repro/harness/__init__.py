@@ -1,9 +1,9 @@
 """Campaign harness: parallel, cached parameter sweeps over the simulator.
 
-Regenerating Table 1 means running the same deterministic simulations —
-(graph spec × algorithm × params × seed) — over and over, across the
-experiments framework, the benchmark suite and ad-hoc CLI invocations.
-This subsystem makes those sweeps cheap and repeatable:
+Sweeping the paper's algorithms over graph family × size × seed means
+running many independent, deterministic simulations — (graph spec ×
+algorithm × params × seed) — and ``repro campaign`` runs them all
+through this subsystem, which makes those sweeps cheap and repeatable:
 
 * :mod:`~repro.harness.spec` — declarative sweep specs and their
   expansion into independent, picklable :class:`~repro.harness.spec.Task`
@@ -16,7 +16,7 @@ This subsystem makes those sweeps cheap and repeatable:
 * :mod:`~repro.harness.cache` — a content-addressed on-disk run cache
   keyed by those hashes, so a sweep is only ever computed once.
 * :mod:`~repro.harness.store` — an append-only JSONL result store with a
-  query/aggregation API that experiments and benchmarks read back.
+  query/aggregation API for reading a campaign's records back.
 * :mod:`~repro.harness.campaign` — the orchestrator: expand, consult the
   cache, shard misses across worker processes, emit records in
   deterministic task order.
@@ -48,7 +48,7 @@ from .campaign import CampaignSummary, run_campaign, run_tasks
 from .hashing import CODE_VERSION, canonical_json, task_key
 from .progress import ProgressReporter
 from .runner import execute_task
-from .spec import CampaignSpec, SpecError, Task, expand_spec, load_spec
+from .spec import CampaignSpec, SpecError, Task, load_spec
 from .store import ResultStore, strip_timing
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "Task",
     "canonical_json",
     "execute_task",
-    "expand_spec",
     "load_spec",
     "run_campaign",
     "run_tasks",

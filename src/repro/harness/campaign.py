@@ -151,7 +151,6 @@ def run_tasks(
     *,
     jobs: int = 1,
     cache: Optional[RunCache] = None,
-    cache_dir: Optional[str] = None,
     use_cache: bool = True,
     salt: str = "",
     name: str = "campaign",
@@ -164,8 +163,8 @@ def run_tasks(
 ) -> CampaignSummary:
     """Execute ``tasks``, reusing cached runs; records come back in order.
 
-    ``cache`` (or ``cache_dir``) enables the content-addressed run
-    cache; ``use_cache=False`` forces recomputation while still
+    ``cache`` enables the content-addressed run cache;
+    ``use_cache=False`` forces recomputation while still
     *writing* fresh entries, so a once-suspect cache heals itself.
     ``store`` receives every record (in task order) when given.
 
@@ -177,8 +176,6 @@ def run_tasks(
     before skipping the rest.
     """
     started = time.perf_counter()
-    if cache is None and cache_dir is not None:
-        cache = RunCache(cache_dir)
     summary = CampaignSummary(name=name)
     keys = [task.key(salt=salt) for task in tasks]
     slots: List[Optional[Dict[str, Any]]] = [None] * len(tasks)
@@ -321,7 +318,6 @@ def run_campaign(
     store_path=None,
     append: bool = False,
     show_progress: bool = False,
-    progress_stream=None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
     backoff_s: float = 0.5,
@@ -329,6 +325,7 @@ def run_campaign(
 ) -> CampaignSummary:
     """Expand a sweep spec and run it end to end.
 
+    ``cache_dir`` names the content-addressed run cache, if any.
     When ``store_path`` is given the records land there as JSONL;
     unless ``append`` is set the store is truncated first so repeated
     invocations stay byte-comparable.  The hardening knobs
@@ -345,13 +342,11 @@ def run_campaign(
             store.truncate()
     progress = None
     if show_progress:
-        progress = ProgressReporter(
-            len(tasks), label=spec.name, stream=progress_stream
-        )
+        progress = ProgressReporter(len(tasks), label=spec.name)
     return run_tasks(
         tasks,
         jobs=jobs,
-        cache_dir=cache_dir,
+        cache=RunCache(cache_dir) if cache_dir is not None else None,
         use_cache=use_cache,
         salt=spec.salt,
         name=spec.name,

@@ -22,13 +22,11 @@ class ProgressReporter:
         *,
         label: str = "campaign",
         stream: Optional[TextIO] = None,
-        enabled: bool = True,
         min_interval_s: float = 0.1,
     ) -> None:
         self.total = total
         self.label = label
         self.stream = stream if stream is not None else sys.stderr
-        self.enabled = enabled
         self.done = 0
         self.cache_hits = 0
         self.failures = 0
@@ -48,7 +46,7 @@ class ProgressReporter:
         self._dirty = True
         now = time.monotonic()
         throttled = (now - self._last_emit) < self._min_interval_s
-        if self.enabled and (not throttled or self.done == self.total):
+        if not throttled or self.done == self.total:
             self._emit(now)
 
     def status(self) -> str:
@@ -65,8 +63,6 @@ class ProgressReporter:
 
     def close(self) -> None:
         """Emit the final status (if anything changed) and end the line."""
-        if not self.enabled:
-            return
         if self._dirty:
             self._emit(time.monotonic())
         if self._interactive():

@@ -21,9 +21,7 @@ by :mod:`.campaign`, outside the deterministic core.
 
 This module holds no algorithm table of its own: adapters, parameter
 validation and the degraded-run marker all live with the protocol
-declarations in :mod:`repro.protocols.builtin`.  ``TaskError`` is
-re-exported here for backwards compatibility — its class name is part
-of the stored error-record contract.
+declarations in :mod:`repro.protocols.builtin`.
 """
 
 from __future__ import annotations
@@ -31,10 +29,10 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..graphs.specs import parse_graph
-from ..protocols import TaskError, get as get_protocol
+from ..protocols import get as get_protocol
 from .spec import Task
 
-__all__ = ["TaskError", "execute_task"]
+__all__ = ["execute_task"]
 
 
 def execute_task(task: Task) -> Dict[str, Any]:

@@ -34,7 +34,7 @@ algorithms × graphs × sizes × seeds × policies, in the order written.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -50,20 +50,19 @@ def _normalize_faults(value: Any) -> Optional[Dict[str, Any]]:
     """Validate a spec-level fault description, canonicalized.
 
     Accepts ``None``, a :class:`~repro.congest.faults.FaultSpec`, or a
-    plain mapping in ``FaultSpec.to_dict`` form.  Returns the canonical
-    dict form (so cache keys are independent of how the faults were
-    spelled), or ``None`` for no-op fault specs — a campaign with
-    ``{"drop_rate": 0}`` keys identically to one with no faults at all.
+    plain mapping in ``FaultSpec.to_dict`` form (parsed by
+    :func:`repro.protocols.params.fault_spec`, as a run's are).
+    Returns the canonical dict form (so cache keys are independent of
+    how the faults were spelled), or ``None`` for no-op fault specs — a
+    campaign with ``{"drop_rate": 0}`` keys identically to one with no
+    faults at all.
     """
     if value is None:
         return None
-    from ..congest.faults import FaultSpec
+    from ..protocols.params import fault_spec
 
     try:
-        spec = (
-            value if isinstance(value, FaultSpec)
-            else FaultSpec.from_dict(value)
-        )
+        spec = fault_spec(value)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"bad 'faults' spec: {exc}")
     return None if spec.is_noop else spec.to_dict()
@@ -141,16 +140,6 @@ class Task:
         )
         return cls(graph=graph, algorithm=algorithm, params=frozen)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Task":
-        """Build a task from its :meth:`payload` form."""
-        try:
-            return cls.make(
-                data["graph"], data["algorithm"], data.get("params")
-            )
-        except KeyError as exc:
-            raise SpecError(f"task dict missing field {exc}")
-
     def param_dict(self) -> Dict[str, Any]:
         """The params as a plain (JSON-pure) dict."""
         return {k: _thaw(v) for k, v in self.params}
@@ -196,17 +185,26 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        """Validate and build a spec from a plain dict."""
+        """Validate and build a spec from a plain dict.
+
+        Absent fields take the defaults declared on this class, the
+        only place they are written.
+        """
         unknown = set(data) - set(cls._FIELDS)
         if unknown:
             raise SpecError(
                 f"unknown spec fields {sorted(unknown)}; "
                 f"expected a subset of {list(cls._FIELDS)}"
             )
-        graphs = list(data.get("graphs", ()))
+        given = cls(**data)
+        graphs = list(given.graphs)
         if not graphs:
             raise SpecError("spec needs a non-empty 'graphs' list")
-        sizes = [int(n) for n in data.get("sizes", ())]
+        try:
+            sizes = [int(n) for n in given.sizes]
+            seeds = [int(s) for s in given.seeds]
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"'sizes' and 'seeds' must be integers ({exc})")
         needs_sizes = any(
             graph_specs.has_size_placeholder(g) for g in graphs
         )
@@ -214,34 +212,24 @@ class CampaignSpec:
             raise SpecError(
                 "spec uses a {n} placeholder but provides no 'sizes'"
             )
-        seeds = [int(s) for s in data.get("seeds", (0,))]
         if not seeds:
             raise SpecError("'seeds' must not be empty")
-        params = dict(data.get("params", {}))
-        for reserved in ("seed", "policy"):
+        params = dict(given.params)
+        for reserved in ("seed", "policy", "faults", "trace", "backend"):
             if reserved in params:
-                raise SpecError(
-                    f"'{reserved}' is a sweep axis, not a shared param"
+                where = (
+                    "a sweep axis" if reserved in ("seed", "policy")
+                    else "a top-level spec field"
                 )
-        if "trace" in params:
-            raise SpecError(
-                "'trace' is a top-level spec field, not a shared param"
-            )
-        faults = _normalize_faults(data.get("faults"))
-        if faults is not None and "faults" in params:
-            raise SpecError(
-                "give 'faults' either top-level or inside params, not both"
-            )
+                raise SpecError(
+                    f"'{reserved}' is {where}, not a shared param"
+                )
+        faults = _normalize_faults(given.faults)
+        trace = bool(given.trace)
         backend = _normalize_backend(
-            data.get("backend", "object"),
-            faults=faults,
-            trace=bool(data.get("trace", False)),
+            given.backend, faults=faults, trace=trace
         )
-        if "backend" in params:
-            raise SpecError(
-                "'backend' is a top-level spec field, not a shared param"
-            )
-        algorithms = list(data.get("algorithms", ("apsp",)))
+        algorithms = list(given.algorithms)
         if not algorithms:
             raise SpecError("'algorithms' must not be empty")
         from ..protocols import names as protocol_names
@@ -255,52 +243,17 @@ class CampaignSpec:
                 f"available: {protocol_names()}"
             )
         return cls(
-            name=str(data.get("name", "campaign")),
+            name=str(given.name),
             graphs=graphs,
             sizes=sizes,
             seeds=seeds,
             algorithms=algorithms,
-            policies=list(data.get("policies", ("strict",))),
+            policies=list(given.policies),
             params=params,
-            salt=str(data.get("salt", "")),
+            salt=str(given.salt),
             faults=faults,
-            trace=bool(data.get("trace", False)),
+            trace=trace,
             backend=backend,
-        )
-
-    def with_trace(self, trace: bool = True) -> "CampaignSpec":
-        """A copy of this spec with per-task trace capture toggled.
-
-        Traced tasks carry ``trace: true`` in their params — part of the
-        cache key, so traced and untraced sweeps never share records —
-        and their stored records gain a deterministic ``trace`` summary
-        (the :meth:`repro.obs.session.Trace.summary_dict` digest).
-        Validated exactly as the ``"trace"`` spec field would be, so a
-        vector spec cannot be traced.
-        """
-        _normalize_backend(self.backend, faults=self.faults, trace=trace)
-        return replace(self, trace=bool(trace))
-
-    def with_faults(self, faults: Any) -> "CampaignSpec":
-        """A copy of this spec with fault injection applied everywhere.
-
-        ``faults`` is validated and canonicalized exactly as the
-        ``"faults"`` spec field would be (the CLI's ``--faults`` flag
-        routes through here).
-        """
-        return replace(self, faults=_normalize_faults(faults))
-
-    def with_backend(self, backend: str) -> "CampaignSpec":
-        """A copy of this spec running every task on ``backend``.
-
-        Validated exactly as the ``"backend"`` spec field would be (the
-        CLI's ``--backend`` flag routes through here).
-        """
-        return replace(
-            self,
-            backend=_normalize_backend(
-                backend, faults=self.faults, trace=self.trace
-            ),
         )
 
     def expand(self) -> List[Task]:
@@ -357,15 +310,12 @@ class CampaignSpec:
         return tasks
 
 
-def expand_spec(spec: "CampaignSpec | Mapping[str, Any]") -> List[Task]:
-    """Expand a spec (object or dict) into its task list."""
-    if not isinstance(spec, CampaignSpec):
-        spec = CampaignSpec.from_dict(spec)
-    return spec.expand()
+def load_spec(path) -> Dict[str, Any]:
+    """Read a campaign spec file: its JSON object, unvalidated.
 
-
-def load_spec(path) -> CampaignSpec:
-    """Load a campaign spec from a JSON file."""
+    :meth:`CampaignSpec.from_dict` validates it, after ``repro
+    campaign`` has set on it the spec flags given beside the file.
+    """
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
@@ -373,4 +323,4 @@ def load_spec(path) -> CampaignSpec:
         raise SpecError(f"{path}: not valid JSON ({exc})")
     if not isinstance(data, dict):
         raise SpecError(f"{path}: spec must be a JSON object")
-    return CampaignSpec.from_dict(data)
+    return data

@@ -3,9 +3,8 @@
 Each line is one campaign record in canonical JSON (sorted keys, tight
 separators), so two stores produced from the same tasks are comparable
 with plain ``diff`` once the non-deterministic ``timing`` block is
-stripped (:func:`strip_timing`).  The experiments framework and the
-benchmark suite read measurements back from here instead of re-running
-simulations.
+stripped (:func:`strip_timing`).  :class:`ResultStore` reads a
+campaign's measurements back from here without re-running anything.
 
 Field paths use dotted notation into the nested record, e.g.
 ``"task.algorithm"``, ``"graph.n"``, ``"metrics.rounds"``.

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..congest.bandwidth import POLICIES
+from ..congest.faults import FaultPlan, FaultSpec
 from .errors import ParamError
 
 #: Parameter kinds understood by :meth:`ParamSpec.coerce`.
@@ -156,10 +157,27 @@ class CommonParams:
         }
 
 
+def fault_spec(value: Any) -> FaultSpec:
+    """``value`` as a :class:`FaultSpec`: itself, or parsed from its
+    :meth:`FaultSpec.to_dict` form.
+
+    The one parse of a ``faults`` value, shared by :func:`split_common`
+    and the campaign harness; raises ``TypeError`` or ``ValueError``.
+    """
+    if isinstance(value, FaultSpec):
+        return value
+    return FaultSpec.from_dict(value)
+
+
 def split_common(
     protocol: str, params: Mapping[str, Any]
 ) -> Tuple[CommonParams, Dict[str, Any]]:
-    """Separate the shared simulator axes from protocol params."""
+    """Separate the shared simulator axes from protocol params.
+
+    A ``faults`` value other than a compiled :class:`FaultPlan` is
+    parsed into a :class:`FaultSpec` here, so a malformed one fails as
+    a :class:`ParamError` before the run starts.
+    """
     rest = dict(params)
     try:
         seed = int(rest.pop("seed", 0))
@@ -183,6 +201,11 @@ def split_common(
                 f"integer or null"
             )
     faults = rest.pop("faults", None)
+    if faults is not None and not isinstance(faults, FaultPlan):
+        try:
+            faults = fault_spec(faults)
+        except (TypeError, ValueError) as exc:
+            raise ParamError(f"{protocol}: bad 'faults' spec: {exc}")
     backend = rest.pop("backend", "object")
     if backend not in BACKENDS:
         raise ParamError(

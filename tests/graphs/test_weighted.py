@@ -14,7 +14,7 @@ from repro.graphs.weighted import (
     expand,
     from_edge_weights,
     oracle_weighted_distances,
-    weighted_apsp,
+    run_weighted_apsp,
 )
 from tests.conftest import random_connected_graph
 
@@ -75,13 +75,13 @@ class TestWeightedApsp:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_dijkstra_oracle(self, seed):
         wg = random_weighted(9, seed=seed)
-        distances, rounds = weighted_apsp(wg)
-        assert distances == oracle_weighted_distances(wg)
-        assert rounds > 0
+        summary = run_weighted_apsp(wg)
+        assert summary.distances == oracle_weighted_distances(wg)
+        assert summary.rounds > 0
 
     def test_matches_networkx(self):
         wg = random_weighted(8, seed=7)
-        distances, _ = weighted_apsp(wg)
+        distances = run_weighted_apsp(wg).distances
         nxg = nx.Graph()
         for (u, v), w in wg.weights.items():
             nxg.add_edge(u, v, weight=w)
@@ -93,8 +93,8 @@ class TestWeightedApsp:
         base = path_graph(8)
         light = WeightedGraph(base, {e: 1 for e in base.edges})
         heavy = WeightedGraph(base, {e: 4 for e in base.edges})
-        _, light_rounds = weighted_apsp(light)
-        _, heavy_rounds = weighted_apsp(heavy)
+        light_rounds = run_weighted_apsp(light).rounds
+        heavy_rounds = run_weighted_apsp(heavy).rounds
         assert heavy_rounds > light_rounds
 
 
@@ -102,5 +102,5 @@ class TestWeightedApsp:
        st.integers(min_value=0, max_value=10**4))
 def test_weighted_apsp_property(n, seed):
     wg = random_weighted(n, seed=seed, max_w=3)
-    distances, _ = weighted_apsp(wg)
+    distances = run_weighted_apsp(wg).distances
     assert distances == oracle_weighted_distances(wg)

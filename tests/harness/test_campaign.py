@@ -36,9 +36,9 @@ def _stripped(records):
 class TestDeterminism:
     def test_parallel_records_match_serial_modulo_timing(self, tmp_path):
         serial = run_tasks(_tasks(), jobs=1,
-                           cache_dir=str(tmp_path / "c1"))
+                           cache=RunCache(tmp_path / "c1"))
         parallel = run_tasks(_tasks(), jobs=4,
-                             cache_dir=str(tmp_path / "c2"))
+                             cache=RunCache(tmp_path / "c2"))
         assert _stripped(serial.records) == _stripped(parallel.records)
 
     def test_jsonl_stores_byte_identical_modulo_timing(self, tmp_path):
@@ -60,8 +60,9 @@ class TestDeterminism:
     def test_cache_hit_equals_fresh_computation(self, tmp_path):
         task = Task.make("torus:4x4", "apsp",
                          {"seed": 3, "policy": "strict"})
-        fresh = run_tasks([task], cache_dir=str(tmp_path)).records[0]
-        hit = run_tasks([task], cache_dir=str(tmp_path)).records[0]
+        cache = RunCache(tmp_path)
+        fresh = run_tasks([task], cache=cache).records[0]
+        hit = run_tasks([task], cache=cache).records[0]
         assert not fresh["timing"]["cache_hit"]
         assert hit["timing"]["cache_hit"]
         assert strip_timing(hit) == strip_timing(fresh)
@@ -84,10 +85,10 @@ class TestDeterminism:
 
 class TestCacheReuse:
     def test_second_invocation_hits_at_least_90_percent(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        first = run_tasks(_tasks(), jobs=2, cache_dir=cache_dir)
+        cache = RunCache(tmp_path / "cache")
+        first = run_tasks(_tasks(), jobs=2, cache=cache)
         assert first.cache_hits == 0
-        second = run_tasks(_tasks(), jobs=2, cache_dir=cache_dir)
+        second = run_tasks(_tasks(), jobs=2, cache=cache)
         assert second.hit_rate >= 0.9
         assert second.executed == 0
 
@@ -170,11 +171,10 @@ class TestRunCampaign:
         assert "test" not in text  # uses the spec's own name
         assert summary.hit_rate == 1.0
 
-    def test_progress_stream_receives_updates(self, tmp_path):
-        stream = io.StringIO()
+    def test_progress_stream_receives_updates(self, capsys):
         spec = CampaignSpec.from_dict(SPEC)
-        run_campaign(spec, show_progress=True, progress_stream=stream)
-        text = stream.getvalue()
+        run_campaign(spec, show_progress=True)
+        text = capsys.readouterr().err
         assert "test-sweep" in text
         assert f"{len(spec.expand())}/{len(spec.expand())} tasks" in text
 
@@ -195,10 +195,3 @@ class TestProgressReporter:
         assert "lbl: 3/3 tasks" in status
         assert "1 cached" in status
         assert "1 failed" in status
-
-    def test_disabled_reporter_stays_silent(self):
-        stream = io.StringIO()
-        reporter = ProgressReporter(1, stream=stream, enabled=False)
-        reporter.task_done()
-        reporter.close()
-        assert stream.getvalue() == ""

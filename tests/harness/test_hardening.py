@@ -206,7 +206,7 @@ class TestRunCampaignThreading:
     def test_faults_conflict_rejected(self):
         from repro.harness import SpecError
 
-        with pytest.raises(SpecError, match="not both"):
+        with pytest.raises(SpecError, match="'faults' is a top-level"):
             CampaignSpec.from_dict({
                 "graphs": ["path:4"],
                 "faults": {"drop_rate": 0.1},

@@ -5,7 +5,7 @@ import pytest
 from repro import core, graphs, protocols
 from repro.congest.metrics import RunMetrics
 from repro.harness import Task, execute_task
-from repro.harness.runner import TaskError
+from repro.protocols import TaskError
 
 
 def _task(graph, algorithm, **params):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness import CampaignSpec, SpecError, Task, expand_spec, load_spec
+from repro.harness import CampaignSpec, SpecError, Task, load_spec
 
 
 class TestTask:
@@ -16,7 +16,7 @@ class TestTask:
             "algorithm": "apsp",
             "params": {"seed": 3, "policy": "strict"},
         }
-        assert Task.from_dict(payload) == task
+        assert Task.make(**payload) == task
 
     def test_tasks_are_hashable_and_order_insensitive(self):
         a = Task.make("path:10", "apsp", {"seed": 0, "policy": "strict"})
@@ -31,10 +31,6 @@ class TestTask:
         assert params["sources"] == [1, 2]
         assert params["opts"] == {"x": 1}
         assert hash(task)  # frozen representation stays hashable
-
-    def test_from_dict_requires_fields(self):
-        with pytest.raises(SpecError):
-            Task.from_dict({"graph": "path:10"})
 
 
 class TestCampaignSpec:
@@ -58,27 +54,27 @@ class TestCampaignSpec:
         ]
 
     def test_fixed_graphs_not_duplicated_per_size(self):
-        tasks = expand_spec({
+        tasks = CampaignSpec.from_dict({
             "graphs": ["torus:4x4"],
             "sizes": [10, 20, 30],
-        })
+        }).expand()
         assert len(tasks) == 1
 
     def test_policy_axis(self):
-        tasks = expand_spec({
+        tasks = CampaignSpec.from_dict({
             "graphs": ["path:8"],
             "policies": ["strict", "unlimited"],
-        })
+        }).expand()
         assert [t.param_dict()["policy"] for t in tasks] == [
             "strict", "unlimited",
         ]
 
     def test_shared_params_reach_every_task(self):
-        tasks = expand_spec({
+        tasks = CampaignSpec.from_dict({
             "graphs": ["cycle:9"],
             "algorithms": ["approx"],
             "params": {"epsilon": 0.25},
-        })
+        }).expand()
         assert tasks[0].param_dict()["epsilon"] == 0.25
 
     def test_placeholder_without_sizes_rejected(self):
@@ -94,14 +90,27 @@ class TestCampaignSpec:
             CampaignSpec.from_dict({"graphs": ["path:8"], "sizs": [1]})
 
     def test_reserved_param_rejected(self):
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="'seed' is a sweep axis"):
             CampaignSpec.from_dict({
                 "graphs": ["path:8"], "params": {"seed": 1},
+            })
+        # Faults inside params would skip the top-level field's
+        # canonicalization, so a no-op spec would change cache keys.
+        with pytest.raises(SpecError, match="'faults' is a top-level"):
+            CampaignSpec.from_dict({
+                "graphs": ["path:8"], "params": {"faults": {"drop_rate": 0}},
             })
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(SpecError):
             CampaignSpec.from_dict({"graphs": ["path:8"], "seeds": []})
+
+    def test_non_integer_sizes_and_seeds_rejected(self):
+        for axis in ("sizes", "seeds"):
+            with pytest.raises(SpecError, match="must be integers"):
+                CampaignSpec.from_dict({
+                    "graphs": ["path:{n}"], "sizes": [8], axis: ["x"],
+                })
 
 
 class TestSpecTimeValidation:
@@ -184,12 +193,10 @@ class TestSpecTimeValidation:
 class TestLoadSpec:
     def test_load_json_file(self, tmp_path):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({
-            "name": "sweep",
-            "graphs": ["path:{n}"],
-            "sizes": [10],
-        }), encoding="utf-8")
-        spec = load_spec(path)
+        data = {"name": "sweep", "graphs": ["path:{n}"], "sizes": [10]}
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert load_spec(path) == data
+        spec = CampaignSpec.from_dict(load_spec(path))
         assert spec.name == "sweep"
         assert len(spec.expand()) == 1
 

@@ -18,16 +18,17 @@ class TestSpecTraceField:
         assert all(t.param_dict()["trace"] is True for t in tasks)
 
     def test_with_trace_round_trip(self):
-        spec = CampaignSpec.from_dict({"graphs": ["path:6"]})
-        assert not spec.trace
-        traced = spec.with_trace()
-        assert traced.trace and not spec.trace
-        assert traced.with_trace(False).expand() == spec.expand()
+        plain = CampaignSpec.from_dict({"graphs": ["path:6"]})
+        traced = CampaignSpec.from_dict({"graphs": ["path:6"], "trace": True})
+        untraced = CampaignSpec.from_dict({"graphs": ["path:6"], "trace": False})
+        assert traced.trace and not plain.trace
+        assert untraced.expand() == plain.expand()
 
     def test_trace_changes_cache_key(self):
-        spec = CampaignSpec.from_dict({"graphs": ["path:6"]})
-        plain = spec.expand()[0]
-        traced = spec.with_trace().expand()[0]
+        plain = CampaignSpec.from_dict({"graphs": ["path:6"]}).expand()[0]
+        traced = CampaignSpec.from_dict({
+            "graphs": ["path:6"], "trace": True,
+        }).expand()[0]
         assert plain.key() != traced.key()
 
     def test_trace_rejected_as_shared_param(self):

@@ -109,13 +109,13 @@ class TestWeightedProtocol:
             )
 
     def test_campaign_spec_accepts_weighted(self):
-        from repro.harness import expand_spec
+        from repro.harness import CampaignSpec
 
-        tasks = expand_spec({
+        tasks = CampaignSpec.from_dict({
             "graphs": ["path:6"],
             "algorithms": ["weighted-apsp"],
             "params": {"max_weight": 3},
-        })
+        }).expand()
         assert tasks[0].algorithm == "weighted-apsp"
 
     def test_cli_subcommand(self, capsys):

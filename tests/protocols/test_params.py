@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.congest.faults import FaultPlan, FaultSpec
 from repro.protocols import (
     CommonParams,
     ParamError,
@@ -88,6 +89,14 @@ class TestCommonParams:
         })
         assert common == CommonParams(seed=3, policy="unlimited")
         assert rest == {"epsilon": 0.5}
+
+    def test_split_common_parses_faults(self):
+        common, _ = split_common("demo", {"faults": {"drop_rate": 0.5}})
+        assert common.faults == FaultSpec(drop_rate=0.5)
+        plan = FaultPlan(FaultSpec(drop_rate=0.5))
+        assert split_common("demo", {"faults": plan})[0].faults is plan
+        with pytest.raises(ParamError, match="demo: bad 'faults' spec"):
+            split_common("demo", {"faults": {"drop_rate": 7}})
 
     def test_kwargs_covers_every_axis(self):
         assert CommonParams().kwargs() == {

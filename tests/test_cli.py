@@ -145,11 +145,44 @@ class TestCampaignCommand:
         ], capsys)
         assert "campaign 'from-file': 1 tasks" in text
 
-    def test_spec_file_and_flags_conflict(self, tmp_path):
+    def test_spec_file_and_flags_conflict(self, tmp_path, capsys):
+        # A flag given beside a spec file overrides the file's field.
         spec = tmp_path / "spec.json"
-        spec.write_text('{"graphs": ["path:8"]}', encoding="utf-8")
-        with pytest.raises(SystemExit):
-            main(["campaign", str(spec), "--graphs", "path:8"])
+        spec.write_text('{"graphs": ["path:8"], "name": "file"}',
+                        encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        text = self.run([
+            "campaign", str(spec), "--graphs", "cycle:5",
+            "--name", "flag", "--quiet", "--out", str(out),
+        ], capsys)
+        assert "campaign 'flag': 1 tasks" in text
+        record = json.loads(out.read_text())
+        assert record["task"]["graph"] == "cycle:5"
+
+    def test_spec_file_and_seeds_flag(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"graphs": ["path:8"], "seeds": [0]}',
+                        encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        self.run([
+            "campaign", str(spec), "--seeds", "1,2", "--quiet",
+            "--out", str(out),
+        ], capsys)
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["task"]["params"]["seed"] for r in records] == [1, 2]
+
+    def test_faults_flag_beside_params_faults_rejected(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "graphs": ["path:8"], "params": {"faults": {"drop_rate": 0.1}},
+        }), encoding="utf-8")
+        with pytest.raises(SystemExit,
+                           match="'faults' is a top-level spec field"):
+            main([
+                "campaign", str(spec), "--quiet",
+                "--faults", '{"drop_rate": 0.5, "seed": 9}',
+                "--out", str(tmp_path / "out.jsonl"),
+            ])
 
     def test_no_input_rejected(self):
         with pytest.raises(SystemExit):
@@ -308,6 +341,13 @@ class TestTraceCommand:
             "--faults", '{"drop_rate": 0.01, "seed": 3}',
         ], capsys)
         assert "trace [apsp" in out
+
+    def test_bad_faults_flag_exits_with_the_protocol_named(self):
+        with pytest.raises(SystemExit, match="apsp: bad 'faults' spec"):
+            main([
+                "trace", "run", "apsp", "path:6",
+                "--faults", '{"drop_rate": 7}',
+            ])
 
     def test_campaign_trace_flag_stores_summaries(self, tmp_path, capsys):
         out = tmp_path / "traced.jsonl"

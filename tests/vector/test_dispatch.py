@@ -125,7 +125,7 @@ class TestCampaignSpec:
     def test_vector_with_trace_rejected(self):
         pytest.importorskip("numpy")
         with pytest.raises(SpecError, match="trace"):
-            self.base(backend="vector").with_trace()
+            self.base(backend="vector", trace=True)
 
     def test_vector_without_numpy_names_extra(self, monkeypatch):
         monkeypatch.setattr("repro.vector.HAS_NUMPY", False)
