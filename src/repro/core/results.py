@@ -24,6 +24,12 @@ class ApspResult:
     connected graphs).  ``parents[w]`` is this node's parent in the BFS
     tree ``T_w`` (Remark 4: shortest paths are implicitly stored via the
     BFS trees), ``None`` at ``w`` itself.
+
+    The object engine stores both as dicts.  The vector engine stores
+    read-only mappings over this node's row of its distance matrix and
+    of its parent matrix, which the first read of any ``parents`` row
+    builds for the whole summary; they compare equal to the dicts.  For
+    a dict of one row, copy ``dict(result.distances.items())``.
     """
 
     uid: int

@@ -197,6 +197,18 @@ class CampaignSpec:
                 f"expected a subset of {list(cls._FIELDS)}"
             )
         given = cls(**data)
+        for axis in ("graphs", "sizes", "seeds", "algorithms", "policies"):
+            value = getattr(given, axis)
+            if not isinstance(value, (list, tuple)):
+                raise SpecError(
+                    f"'{axis}' must be a list, not {type(value).__name__}"
+                    f" {value!r}"
+                )
+        if not isinstance(given.params, Mapping):
+            raise SpecError(
+                f"'params' must be an object, not "
+                f"{type(given.params).__name__} {given.params!r}"
+            )
         graphs = list(given.graphs)
         if not graphs:
             raise SpecError("spec needs a non-empty 'graphs' list")

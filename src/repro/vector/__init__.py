@@ -12,11 +12,13 @@ block of nodes — 10–50× faster at ``n ≥ 512`` and practical at
 ``n = 2048+``.
 
 The contract is byte-identical observability: every entry point returns
-the same result objects and the same
+results equal to the object engine's and the same
 :class:`~repro.congest.metrics.RunMetrics` — rounds, message and bit
 totals, per-round series, max-per-edge counters and (optionally)
-per-edge cumulative bits — as the object engine, pinned by the golden
-equivalence fixtures and a cross-backend hypothesis property test.
+per-edge cumulative bits — pinned by the golden equivalence fixtures
+and a cross-backend hypothesis property test.  The one difference in
+form: an APSP node's ``distances`` and ``parents`` are read-only
+mappings over its row of ``D`` and of the parent matrix, not dicts.
 
 numpy is an *optional* dependency (``pip install "repro[vector]"``).
 Importing this package never fails and never imports numpy: it only

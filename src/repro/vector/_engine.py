@@ -51,6 +51,8 @@ neighbor one level closer, follow the same comparison
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Tuple, Type
 
 import numpy as np
@@ -110,7 +112,7 @@ class _Csr:
     """
 
     __slots__ = (
-        "n", "ids", "indptr", "indices", "src", "dst", "edge_key",
+        "n", "ids", "index", "indptr", "indices", "src", "dst", "edge_key",
         "root_idx", "m2",
     )
 
@@ -119,7 +121,8 @@ class _Csr:
         n = len(nodes)
         self.n = n
         self.ids = np.asarray(nodes, dtype=np.int64)
-        index = {uid: i for i, uid in enumerate(nodes)}
+        #: Node id -> index.
+        self.index = index = {uid: i for i, uid in enumerate(nodes)}
         neighbor_lists = [graph.neighbors(uid) for uid in nodes]
         counts = np.fromiter(
             (len(x) for x in neighbor_lists), dtype=np.int64, count=n
@@ -781,10 +784,102 @@ def _apsp_run(graph: Graph, *, collect_girth: bool, track_edges: bool,
     return csr, distances, tree, girth_best, metrics
 
 
+class _Matrix:
+    """What the ``n`` row views of one summary share: the id → index
+    dict and an ``n × n`` array, which ``build`` makes on the first read
+    when it is not given (two threads may both build it; either result
+    is the same)."""
+
+    __slots__ = ("index", "_array", "_build")
+
+    def __init__(self, index: Dict[int, int], array=None,
+                 build=None) -> None:
+        self.index = index
+        self._array = array
+        self._build = build
+
+    @property
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            self._array = self._build()
+        return self._array
+
+
+class _RowView(Mapping):
+    """Row ``u`` of a :class:`_Matrix` as a read-only ``{id: value}``
+    mapping.
+
+    Lookups, ``in``, ``len``, ``==``, unhashability and pickling behave
+    as for the dict it stands for; ``items()`` and ``values()`` convert
+    the row with one ``tolist()``, not one ``__getitem__`` per key.
+    """
+
+    __slots__ = ("_matrix", "_u")
+
+    def __init__(self, matrix: _Matrix, u: int) -> None:
+        self._matrix = matrix
+        self._u = u
+
+    def __getitem__(self, key):
+        return self._matrix.array.item(self._u, self._matrix.index[key])
+
+    def __contains__(self, key) -> bool:
+        return key in self._matrix.index
+
+    def __iter__(self):
+        return iter(self._matrix.index)
+
+    def __len__(self) -> int:
+        return len(self._matrix.index)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def items(self):
+        return _RowItems(self)
+
+    def values(self):
+        return _RowValues(self)
+
+    def _row(self) -> list:
+        return self._matrix.array[self._u].tolist()
+
+
+class _RowItems(ItemsView):
+    """A row view's ``(id, value)`` pairs, from one ``tolist()``."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._matrix.index, self._mapping._row())
+
+
+class _RowValues(ValuesView):
+    """A row view's values, from one ``tolist()``."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._row())
+
+
+def _parent_ids(csr: _Csr, distances: np.ndarray) -> np.ndarray:
+    """Row ``u``: ``u``'s parent toward every wave, as the id objects
+    themselves; the ``u = v`` slot (sentinel ``n``) is ``None``."""
+    return np.array(csr.ids.tolist() + [None], dtype=object)[
+        _bfs_parents(csr, distances)
+    ]
+
+
 def run_apsp(graph: Graph, *, collect_girth: bool = False, seed: int = 0,
              bandwidth_bits: Optional[int] = None, policy: str = "strict",
              track_edges: bool = False, faults=None) -> ApspSummary:
-    """Vector twin of :func:`repro.core.run_apsp`."""
+    """Vector twin of :func:`repro.core.run_apsp`.
+
+    Each node's ``distances`` and ``parents`` are read-only views of
+    its row of ``D`` and of the parent-id matrix, which the first read
+    of any ``parents`` row builds once for the whole summary.
+    """
     del seed
     _check_supported(policy=policy, faults=faults)
     validate_apsp_input(graph)
@@ -792,23 +887,18 @@ def run_apsp(graph: Graph, *, collect_girth: bool = False, seed: int = 0,
         graph, collect_girth=collect_girth, track_edges=track_edges,
         bandwidth_bits=bandwidth_bits,
     )
-    ids = csr.ids.tolist()
-    # Row u: u's parent toward every wave, as the id objects themselves;
-    # the u = v slot (sentinel n) is None.
-    parent_ids = np.array(ids + [None], dtype=object)[
-        _bfs_parents(csr, distances)
-    ]
+    rows = _Matrix(csr.index, array=distances)
+    parents = _Matrix(csr.index, build=partial(_parent_ids, csr, distances))
     girth_l = girth_best.tolist() if girth_best is not None else None
     results = {}
-    for u in range(csr.n):
-        uid = ids[u]
+    for uid, u in csr.index.items():
         candidate = None
         if girth_l is not None and girth_l[u] != _NO_CANDIDATE:
             candidate = girth_l[u]
         results[uid] = ApspResult(
             uid=uid,
-            distances=dict(zip(ids, distances[u].tolist())),
-            parents=dict(zip(ids, parent_ids[u].tolist())),
+            distances=_RowView(rows, u),
+            parents=_RowView(parents, u),
             girth_candidate=candidate,
         )
     return ApspSummary(results=results, metrics=metrics)
@@ -891,8 +981,7 @@ def run_ssp(graph: Graph, sources: Iterable[int], *, seed: int = 0,
         total_rounds, csr, SizeModel(csr.n), track_edges
     )
     _emit_tree_phase(sched, csr, tree)
-    index = {uid: i for i, uid in enumerate(csr.ids.tolist())}
-    source_idx = sorted(index[s] for s in source_set)
+    source_idx = sorted(csr.index[s] for s in source_set)
     delta, parent = _emit_ssp_phase(sched, csr, source_idx, t0, duration)
     metrics = sched.finalize(bandwidth_bits)
     ids = csr.ids.tolist()

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -46,10 +47,10 @@ GOLDEN_PATH = Path(__file__).with_name("golden_equivalence.json")
 
 
 def _canonical(value):
-    """JSON-pure rendering of result objects (dataclasses, dicts, ...)."""
+    """JSON-pure rendering of result objects (dataclasses, mappings, ...)."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return _canonical(dataclasses.asdict(value))
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {str(key): _canonical(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_canonical(item) for item in value]

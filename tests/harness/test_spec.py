@@ -112,6 +112,18 @@ class TestCampaignSpec:
                     "graphs": ["path:{n}"], "sizes": [8], axis: ["x"],
                 })
 
+    @pytest.mark.parametrize(
+        "axis", ["graphs", "sizes", "seeds", "algorithms", "policies"])
+    def test_axis_that_is_not_a_list_rejected(self, axis):
+        # A string is iterable: list("path:8") would be six graphs.
+        with pytest.raises(SpecError, match=f"'{axis}' must be a list"):
+            CampaignSpec.from_dict({"graphs": ["path:8"], axis: "8"})
+
+    @pytest.mark.parametrize("params", [None, ["k", 2], "k=2"])
+    def test_params_that_are_not_an_object_rejected(self, params):
+        with pytest.raises(SpecError, match="'params' must be an object"):
+            CampaignSpec.from_dict({"graphs": ["path:8"], "params": params})
+
 
 class TestSpecTimeValidation:
     """Malformed campaigns die at expansion, before any worker spawns."""

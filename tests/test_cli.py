@@ -184,6 +184,23 @@ class TestCampaignCommand:
                 "--out", str(tmp_path / "out.jsonl"),
             ])
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"graphs": "path:8"}, "'graphs' must be a list"),
+        ({"graphs": ["path:8"], "algorithms": "apsp"},
+         "'algorithms' must be a list"),
+        ({"graphs": ["path:8"], "params": None},
+         "'params' must be an object"),
+    ])
+    def test_spec_file_field_of_the_wrong_type_rejected(
+            self, tmp_path, fields, message):
+        # Refused before any task runs, so no result store is written.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(fields), encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(SystemExit, match=message):
+            main(["campaign", str(spec), "--quiet", "--out", str(out)])
+        assert not out.exists()
+
     def test_no_input_rejected(self):
         with pytest.raises(SystemExit):
             main(["campaign"])
